@@ -32,20 +32,13 @@ from .gmm import (
 from .losses import (
     AslConfig,
     ContrastiveLossConfig,
-    asl_loss,
-    nll_loss,
-    pcl_loss,
-    total_loss,
+    asl_loss_t,
+    nll_loss_t,
+    pcl_loss_t,
 )
-from .metrics import (
-    MetricsReport,
-    PredictionSet,
-    average_precision,
-    map_score,
-    pr_f1_report,
-)
+from .metrics import MetricsReport, PredictionSet, average_precision, pr_f1_report
 from .model import Checkpoint, ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .overlap import PositiveSet, cosine, jaccard, overlap_matrix, positive_sets
+from .overlap import cosine, jaccard, overlap_matrix, positive_mask
 from .pipeline import ablate, evaluate, train_classifier, train_contrastive
 
 __version__ = "0.1.0"
@@ -64,11 +57,10 @@ __all__ = [
     "ModelConfig",
     "NumericError",
     "OptimConfig",
-    "PositiveSet",
     "PredictionSet",
     "SyntheticDatasetConfig",
     "ablate",
-    "asl_loss",
+    "asl_loss_t",
     "augment",
     "average_precision",
     "config_hash",
@@ -82,16 +74,14 @@ __all__ = [
     "load_checkpoint",
     "load_config",
     "make_contrastive_batch",
-    "map_score",
     "mixture_cross_integral",
-    "nll_loss",
+    "nll_loss_t",
     "overlap_matrix",
-    "pcl_loss",
-    "positive_sets",
+    "pcl_loss_t",
+    "positive_mask",
     "pr_f1_report",
     "save_checkpoint",
     "save_config",
-    "total_loss",
     "train_classifier",
     "train_contrastive",
 ]

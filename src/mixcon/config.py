@@ -91,8 +91,6 @@ class ExperimentConfig:
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:
             raise InputError("model.num_classes must equal data.num_classes")
-        if callable(self.loss.measure):
-            raise InputError("experiment configs require a named overlap measure")
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must lie in (0, 1)")
         holdout = int(round(self.data.num_samples * self.data.holdout_frac))
@@ -131,7 +129,9 @@ def from_dict(payload: dict) -> ExperimentConfig:
             seed=int(payload["seed"]),
             threshold=float(payload["threshold"]),
         )
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed experiment config: {exc}") from exc
 
 
@@ -151,5 +151,10 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: config is not UTF-8 text: {exc}") from exc
+    return from_json(text)

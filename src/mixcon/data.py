@@ -284,23 +284,35 @@ def save_dataset(path, features: np.ndarray, labels: np.ndarray, header: dict) -
 
 
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: dataset is not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("# mixcon-dataset v1 "):
         raise InputError(f"{path}: not a recognized dataset file")
-    header = json.loads(lines[0][len("# mixcon-dataset v1 ") :])
+    try:
+        header = json.loads(lines[0][len("# mixcon-dataset v1 ") :])
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:1: dataset header is not valid JSON: {exc}") from exc
     features, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
             record, bits = line.rsplit("|", 1)
+            features.append([float(v) for v in record.split()])
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed record") from exc
-        features.append([float(v) for v in record.split()])
+            raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if not set(bits) <= {"0", "1"}:
+            raise InputError(f"{path}:{lineno}: label bits must be 0 or 1, got {bits!r}")
         labels.append([int(b) for b in bits])
-    return (
-        np.asarray(features, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
-        header,
-    )
+    try:
+        return (
+            np.asarray(features, dtype=np.float64),
+            np.asarray(labels, dtype=np.int64),
+            header,
+        )
+    except ValueError as exc:
+        raise InputError(f"{path}: records differ in length: {exc}") from exc

@@ -1,25 +1,22 @@
-"""Training losses: mixture NLL, overlap-weighted contrastive, their
-weighted sum, and the asymmetric classification loss.
+"""Training losses: mixture NLL, overlap-weighted contrastive, and the
+asymmetric classification loss.
 
-Each loss exists in two layers.  The ``*_t`` functions operate on
-:class:`~mixcon.tape.Tensor` batches of stacked mixture parameters and
-return a scalar Tensor, so the model's forward pass can chain straight
-into them.  The plain-named wrappers accept validated domain objects
-(:class:`~mixcon.gmm.IsoGaussianMixture` lists, probability arrays),
-run one backward pass, and hand back ``(value, gradients)``.
+Each ``*_t`` function operates on :class:`~mixcon.tape.Tensor` batches of
+stacked mixture parameters (or probabilities) and returns a scalar
+Tensor, so the model's forward pass chains straight into it and
+``tape.backward`` / ``tape.grads_of`` give the gradients.  Stage one
+trains on ``nll + lam * pcl``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import tape
 from .errors import InputError
-from .gmm import IsoGaussianMixture
-from .overlap import MEASURES, overlap_matrix
+from .overlap import MEASURES, overlap_matrix, positive_mask
 from .tape import Tensor
 
 SIM_BACKENDS = ("correlation",)
@@ -48,7 +45,7 @@ class ContrastiveLossConfig:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.lam < 0.0:
             raise InputError(f"lambda must be >= 0, got {self.lam!r}")
-        if not callable(self.measure) and self.measure not in MEASURES:
+        if self.measure not in MEASURES:
             raise InputError(f"unknown overlap measure {self.measure!r}")
         if self.sim not in SIM_BACKENDS:
             raise InputError(
@@ -160,24 +157,17 @@ def pcl_loss_t(
     if label_stack.ndim != 2 or label_stack.shape[0] != b:
         raise InputError("labels must be a (2N, C) stack matching the batch")
     d = overlap_matrix(label_stack, cfg.measure)
-    off_diag = ~np.eye(b, dtype=bool)
-    positive = off_diag & (d >= cfg.alpha)
+    positive = positive_mask(d, cfg.alpha)
     counts = positive.sum(axis=1)
     coef = np.zeros((b, b))
     rows = counts > 0
     coef[rows] = -(d[rows] * positive[rows]) / counts[rows, None]
 
     logits = similarity_matrix_t(weights, means, variances, dim) / cfg.tau
-    masked = tape.where(off_diag, logits, tape.constant(-np.inf))
+    masked = tape.where(~np.eye(b, dtype=bool), logits, tape.constant(-np.inf))
     log_denom = tape.logsumexp(masked, axis=1, keepdims=True)
     log_softmax = logits - log_denom
     return tape.tsum(tape.constant(coef) * log_softmax)
-
-
-def total_loss_t(nll: Tensor, pcl: Tensor, lam: float) -> Tensor:
-    if lam < 0.0:
-        raise InputError(f"lambda must be >= 0, got {lam!r}")
-    return nll + pcl * lam
 
 
 def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
@@ -210,74 +200,3 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
     neg_term = tape.pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
     gated = tape.where(pos_mask, pos_term, neg_term)
     return -tape.tsum(gated)
-
-
-# -- (value, gradients) wrappers over domain objects -------------------------
-
-
-@dataclass(frozen=True)
-class MixtureGradients:
-    """d(loss)/d(parameter) for a stacked batch of mixtures."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    targets: np.ndarray | None = None
-
-
-def stack_mixtures(mixtures: Sequence[IsoGaussianMixture]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    if len(mixtures) == 0:
-        raise InputError("empty mixture batch")
-    dims = {g.dim for g in mixtures}
-    comps = {g.num_components for g in mixtures}
-    if len(dims) != 1 or len(comps) != 1:
-        raise InputError("batch mixtures must share dim and component count")
-    return (
-        np.stack([g.weights for g in mixtures]),
-        np.stack([g.means for g in mixtures]),
-        np.stack([g.variances for g in mixtures]),
-        dims.pop(),
-    )
-
-
-def nll_loss(
-    mixtures: Sequence[IsoGaussianMixture], targets
-) -> tuple[float, MixtureGradients]:
-    """Batch NLL and its gradients w.r.t. every mixture parameter and target."""
-    w, m, v, dim = stack_mixtures(mixtures)
-    z = np.asarray(targets, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-    if z.shape != (len(mixtures), dim):
-        raise InputError(f"targets must have shape ({len(mixtures)}, {dim})")
-    tw, tm, tv, tz = tape.leaf(w), tape.leaf(m), tape.leaf(v), tape.leaf(z)
-    loss = nll_loss_t(tw, tm, tv, tz)
-    gw, gm, gv, gz = tape.grads_of(loss, [tw, tm, tv, tz])
-    return float(loss.value), MixtureGradients(gw, gm, gv, gz)
-
-
-def pcl_loss(
-    mixtures: Sequence[IsoGaussianMixture], labels, cfg: ContrastiveLossConfig
-) -> tuple[float, MixtureGradients]:
-    """Contrastive loss and gradients w.r.t. every mixture parameter."""
-    w, m, v, dim = stack_mixtures(mixtures)
-    tw, tm, tv = tape.leaf(w), tape.leaf(m), tape.leaf(v)
-    loss = pcl_loss_t(tw, tm, tv, labels, dim, cfg)
-    gw, gm, gv = tape.grads_of(loss, [tw, tm, tv])
-    return float(loss.value), MixtureGradients(gw, gm, gv)
-
-
-def total_loss(nll: float, pcl: float, lam: float) -> float:
-    """Combined objective nll + lam * pcl."""
-    if lam < 0.0:
-        raise InputError(f"lambda must be >= 0, got {lam!r}")
-    return float(nll) + lam * float(pcl)
-
-
-def asl_loss(probabilities, labels, cfg: AslConfig = AslConfig()) -> tuple[float, np.ndarray]:
-    """Asymmetric loss and gradient w.r.t. the probabilities."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    t = tape.leaf(probs)
-    loss = asl_loss_t(t, labels, cfg)
-    (grad,) = tape.grads_of(loss, [t])
-    return float(loss.value), grad

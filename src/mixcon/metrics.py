@@ -105,18 +105,6 @@ def average_precision(scores, truths) -> float:
     return math.fsum(precisions) / len(precisions)
 
 
-def map_score(preds: PredictionSet) -> float:
-    """Unweighted mean AP over classes that have at least one positive."""
-    aps = [
-        average_precision(preds.scores[:, k], preds.truths[:, k])
-        for k in range(preds.scores.shape[1])
-        if preds.truths[:, k].sum() > 0
-    ]
-    if not aps:
-        raise InputError("no class has a positive truth; mAP undefined")
-    return math.fsum(aps) / len(aps)
-
-
 def pr_f1_report(preds: PredictionSet, threshold: float = 0.5) -> MetricsReport:
     """Class-averaged and pooled precision/recall/F1 at a strict threshold."""
     if not 0.0 < threshold < 1.0:

@@ -2,8 +2,8 @@
 
 Parameters live in a flat ``dict[str, ndarray]`` keyed by dotted names
 (``enc.0.w``, ``mdn.pi.b``, ``cls.w`` ...) in a fixed insertion order.
-Forward passes run on the gradient tape; thin array wrappers are provided
-for inference-style calls.
+Forward passes run on the gradient tape; thin array wrappers over the
+encoder and classifier serve inference-style calls.
 
 The mixture head emits, for each input, C mixture weights (softmax), C
 scalar component means (raw linear), C variances through ELU(raw) + 2 so
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import tape
 from .errors import InputError, NumericError
-from .gmm import IsoGaussianMixture
 from .tape import Tensor
 
 CHECKPOINT_MAGIC = b"MIXCON1"
@@ -170,24 +169,6 @@ def encoder_forward(params: Params, x, cfg: ModelConfig) -> np.ndarray:
     return out[0] if single else out
 
 
-def mdn_forward(params: Params, h, cfg: ModelConfig):
-    """Mixture head over embeddings.
-
-    A single (H,) embedding returns (IsoGaussianMixture, z); a batch
-    returns (list of mixtures, (B, n) targets).
-    """
-    arr, single = _as_batch(h, cfg.embed_dim, "embedding")
-    pt = params_to_tensors(params, trainable_prefixes=())
-    w, m, v, z = mdn_forward_t(pt, tape.constant(arr), cfg)
-    mixtures = [
-        IsoGaussianMixture(w.value[i], m.value[i], v.value[i], cfg.mixture_dim)
-        for i in range(arr.shape[0])
-    ]
-    if single:
-        return mixtures[0], z.value[0]
-    return mixtures, z.value
-
-
 def classifier_forward(params: Params, h, cfg: ModelConfig) -> np.ndarray:
     arr, single = _as_batch(h, cfg.embed_dim, "embedding")
     pt = params_to_tensors(params, trainable_prefixes=())
@@ -248,29 +229,33 @@ def load_checkpoint(path) -> Checkpoint:
         raise InputError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[magic_end + 1 : header_end])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise InputError(f"{path}: checkpoint header must be a JSON object")
     if header.get("version") != 1:
         raise InputError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    try:
+        manifest = [
+            (str(entry["name"]), tuple(int(d) for d in entry["shape"]))
+            for entry in header["tensors"]
+        ]
+        kind, seed = header["kind"], header["seed"]
+        config, digest = header["config"], header["config_hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed checkpoint header: {exc!r}") from exc
     params: Params = {}
     offset = header_end + 1
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape in manifest:
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise InputError(f"{path}: truncated tensor data for {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise InputError(f"{path}: truncated tensor data for {name!r}")
+        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(blob):
         raise InputError(f"{path}: trailing bytes after tensor data")
-    return Checkpoint(
-        params=params,
-        kind=header["kind"],
-        seed=header["seed"],
-        config=header["config"],
-        config_hash=header["config_hash"],
-    )
+    return Checkpoint(params=params, kind=kind, seed=seed, config=config, config_hash=digest)
 
 
 def encoder_bytes(params: Params) -> bytes:

@@ -1,7 +1,8 @@
 """Adam updates, the one-cycle learning-rate schedule, and gradient checking.
 
-The schedule warms up with a half-cosine over the first 30% of steps and
-decays with another half-cosine to peak/10^4.  Both segments interpolate
+The schedule warms up with a half-cosine over the first ``warmup_frac`` of
+steps (30% by default) and decays with another half-cosine to
+``peak_lr * final_factor`` (peak/10^4 by default).  Both segments interpolate
 endpoint values directly, so lr(warmup_end) == peak and
 lr(total) == peak * final_factor hold exactly, not just approximately.
 """
@@ -10,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tape
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .config import OptimConfig
 
 Params = dict[str, np.ndarray]
 
@@ -68,25 +73,20 @@ def adam_step(state: AdamState, params: Params, gradients: dict[str, np.ndarray]
         params[name] -= lr_now * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def one_cycle_lr(
-    step: int,
-    total_steps: int,
-    peak_lr: float,
-    *,
-    warmup_frac: float = 0.3,
-    final_factor: float = 1e-4,
-    start_factor: float = 0.04,
-) -> float:
-    """Learning rate at ``step`` of a cosine warmup / cosine decay cycle."""
+def one_cycle_lr(step: int, total_steps: int, optim: OptimConfig) -> float:
+    """Learning rate at ``step`` of a cosine warmup / cosine decay cycle.
+
+    Peak, warmup fraction and start/final factors come from ``optim``,
+    which has validated them.
+    """
     if total_steps < 1:
         raise InputError("total_steps must be >= 1")
     if not 0 <= step <= total_steps:
         raise InputError(f"step {step} outside [0, {total_steps}]")
-    if not peak_lr > 0.0:
-        raise InputError("peak_lr must be positive")
-    warmup_steps = int(round(warmup_frac * total_steps))
-    start_lr = peak_lr * start_factor
-    final_lr = peak_lr * final_factor
+    peak_lr = optim.peak_lr
+    warmup_steps = int(round(optim.warmup_frac * total_steps))
+    start_lr = peak_lr * optim.start_factor
+    final_lr = peak_lr * optim.final_factor
     if step <= warmup_steps:
         if warmup_steps == 0:
             return peak_lr

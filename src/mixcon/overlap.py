@@ -7,23 +7,11 @@ A(i) = {j != i : D >= alpha}, and it weights each surviving pair's term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class PositiveSet:
-    """Anchor index plus (member index, overlap weight) pairs."""
-
-    anchor: int
-    members: tuple[tuple[int, float], ...]
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.members)
 
 
 def _as_label_array(a) -> np.ndarray:
@@ -66,73 +54,40 @@ def cosine(a, b) -> float:
 MEASURES: dict[str, Callable] = {"jaccard": jaccard, "cosine": cosine}
 
 
-def resolve_measure(measure) -> Callable:
-    """Accept a registry name or a callable (the latter for experiments)."""
-    if callable(measure):
-        return measure
-    if measure in MEASURES:
-        return MEASURES[measure]
-    raise InputError(f"unknown overlap measure {measure!r}; expected one of {sorted(MEASURES)}")
-
-
-def overlap_matrix(labels, measure="jaccard") -> np.ndarray:
+def overlap_matrix(labels, measure: str = "jaccard") -> np.ndarray:
     """Pairwise overlap D for a stack of label vectors, shape (m, m).
 
-    Registry measures use a vectorized Gram-matrix path; callables fall
-    back to a pairwise loop.  Both fill the diagonal with the self value.
+    A Gram-matrix form of the named measure; the diagonal holds the self
+    value, and entry (i, j) equals ``MEASURES[measure](y_i, y_j)`` bitwise.
     """
+    if measure not in MEASURES:
+        raise InputError(f"unknown overlap measure {measure!r}; expected one of {sorted(MEASURES)}")
     stack = np.asarray(labels)
     if stack.ndim != 2 or stack.shape[0] < 1:
         raise InputError("labels must form a nonempty (m, C) array")
     if not np.isin(stack, (0, 1)).all():
         raise InputError("label entries must be 0 or 1")
     stack = stack.astype(np.int64)
-    if callable(measure):
-        m = stack.shape[0]
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = measure(stack[i], stack[j])
-        return out
-    fn = resolve_measure(measure)
     gram = (stack @ stack.T).astype(np.float64)
     norms = np.diag(gram).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        if fn is jaccard:
+        if measure == "jaccard":
             denom = norms[:, None] + norms[None, :] - gram
-            out = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
         else:
             denom = np.sqrt(norms[:, None] * norms[None, :])
-            out = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
+        out = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
     return out
 
 
-def positive_sets(labels, alpha: float, measure="jaccard") -> list[PositiveSet]:
-    """A(i) for every anchor i over a batch of label vectors.
+def positive_mask(overlap: np.ndarray, alpha: float) -> np.ndarray:
+    """Membership of A(i) = {j != i : D_ij >= alpha}, as an (m, m) bool mask.
 
-    Membership uses D(y_i, y_j) >= alpha; each member carries its weight.
+    Takes the overlap matrix rather than labels because the contrastive
+    loss needs D again as the pair weights; row i's count is |A(i)|.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
-    stack = np.asarray(labels)
-    if stack.ndim != 2 or stack.shape[0] == 0:
-        raise InputError("labels must form a nonempty (m, C) array")
-    if stack.shape[0] < 2:
-        raise InputError("positive sets need a batch of at least 2 views")
-    d = overlap_matrix(stack, measure)
-    sets = []
-    for i in range(stack.shape[0]):
-        members = tuple(
-            (j, float(d[i, j]))
-            for j in range(stack.shape[0])
-            if j != i and d[i, j] >= alpha
-        )
-        sets.append(PositiveSet(anchor=i, members=members))
-    return sets
-
-
-def mean_positive_set_size(sets: Sequence[PositiveSet]) -> float:
-    """Average |A(i)| over anchors; the quantity logged by ablation sweeps."""
-    if not sets:
-        raise InputError("no positive sets supplied")
-    return float(np.mean([len(s.members) for s in sets]))
+    d = np.asarray(overlap)
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
+        raise InputError("positive sets need a square overlap matrix over at least 2 views")
+    return ~np.eye(d.shape[0], dtype=bool) & (d >= alpha)

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tape
-from .config import ExperimentConfig, config_hash, config_json, to_dict
+from .config import ExperimentConfig, OptimConfig, config_hash, config_json, to_dict
 from .data import generate_synthetic, make_contrastive_batch, splitmix64
 from .errors import InputError, NumericError
-from .losses import asl_loss_t, nll_loss_t, pcl_loss_t, total_loss_t
+from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
 from .metrics import MetricsReport, PredictionSet, pr_f1_report, report_to_json
 from .model import (
     classifier_forward,
@@ -41,7 +41,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import adam_step, init_adam, one_cycle_lr
-from .overlap import mean_positive_set_size, positive_sets
+from .overlap import overlap_matrix, positive_mask
 
 STREAM_SPLIT = 1000
 STREAM_INIT = 1001
@@ -98,6 +98,54 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _fit(
+    params,
+    optim: OptimConfig,
+    *,
+    trainable: tuple[str, ...],
+    epochs: int,
+    num_samples: int,
+    drop_last: bool,
+    shuffle_seed: int,
+    make_batch,
+    batch_loss,
+    objective: str,
+) -> list[tuple]:
+    """The epoch loop both stages share; updates ``params`` in place.
+
+    Each epoch walks a fresh permutation of the ``num_samples`` training
+    rows, drawn from ``shuffle_seed``, in ``batch_size`` slices.  A step
+    builds its batch with ``make_batch(idx, step)``, wraps the parameters
+    (only names under ``trainable`` get gradients), and calls
+    ``batch_loss(pt, batch)``, which returns the Tensors the stage logs
+    with the optimized ``objective`` last.  Returns one row per epoch: the
+    epoch, the per-step mean of every logged Tensor, and the last lr.
+    """
+    keys = [k for k in params if k.startswith(trainable)]
+    state = init_adam(params, keys=keys)
+    batch = optim.batch_size
+    steps_per_epoch = num_samples // batch if drop_last else math.ceil(num_samples / batch)
+    total_steps = epochs * steps_per_epoch
+    rows = []
+    step = 0
+    for epoch in range(epochs):
+        order = np.random.default_rng(splitmix64(shuffle_seed, epoch)).permutation(num_samples)
+        logged = []
+        for b in range(steps_per_epoch):
+            data = make_batch(order[b * batch : (b + 1) * batch], step)
+            pt = params_to_tensors(params, trainable_prefixes=trainable)
+            parts = batch_loss(pt, data)
+            if not np.isfinite(parts[-1].value):
+                raise NumericError(f"non-finite {objective} loss at step {step}")
+            tape.backward(parts[-1])
+            lr = one_cycle_lr(step, total_steps, optim)
+            adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
+            logged.append([float(part.value) for part in parts])
+            step += 1
+        rows.append((epoch, *(math.fsum(c) / steps_per_epoch for c in zip(*logged)), lr))
+    return rows
+
+
 def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
     """Stage one: fit encoder + mixture head, emit checkpoint and loss curve.
 
@@ -110,57 +158,32 @@ def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
     features, labels, train_idx, _ = dataset_split(cfg)
     x_train, y_train = features[train_idx], labels[train_idx]
     params = init_params(cfg.model, seed=splitmix64(cfg.seed, STREAM_INIT))
-    keys = [k for k in params if k.startswith(("enc.", "mdn."))]
-    state = init_adam(params, keys=keys)
-    batch = cfg.optim.batch_size
-    steps_per_epoch = len(x_train) // batch
-    total_steps = cfg.optim.contrastive_epochs * steps_per_epoch
-    shuffle_base = splitmix64(cfg.seed, STREAM_CONTRASTIVE_SHUFFLE)
     view_base = splitmix64(cfg.seed, STREAM_VIEWS)
-    rows = []
-    step = 0
-    for epoch in range(cfg.optim.contrastive_epochs):
-        order = np.random.default_rng(splitmix64(shuffle_base, epoch)).permutation(
-            len(x_train)
+
+    def make_batch(idx, step):
+        return make_contrastive_batch(
+            x_train[idx], y_train[idx], splitmix64(view_base, step), cfg.augment
         )
-        epoch_nll, epoch_pcl, epoch_total = [], [], []
-        lr = cfg.optim.peak_lr
-        for b in range(steps_per_epoch):
-            idx = order[b * batch : (b + 1) * batch]
-            views = make_contrastive_batch(
-                x_train[idx], y_train[idx], splitmix64(view_base, step), cfg.augment
-            )
-            pt = params_to_tensors(params, trainable_prefixes=("enc.", "mdn."))
-            h = encoder_forward_t(pt, tape.constant(views.views), cfg.model)
-            w, m, v, z = mdn_forward_t(pt, h, cfg.model)
-            nll = nll_loss_t(w, m, v, z)
-            pcl = pcl_loss_t(w, m, v, views.labels, cfg.model.mixture_dim, cfg.loss)
-            total = total_loss_t(nll, pcl, cfg.loss.lam)
-            if not np.isfinite(total.value):
-                raise NumericError(f"non-finite total loss at step {step}")
-            tape.backward(total)
-            lr = one_cycle_lr(
-                step,
-                total_steps,
-                cfg.optim.peak_lr,
-                warmup_frac=cfg.optim.warmup_frac,
-                final_factor=cfg.optim.final_factor,
-                start_factor=cfg.optim.start_factor,
-            )
-            adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
-            epoch_nll.append(float(nll.value))
-            epoch_pcl.append(float(pcl.value))
-            epoch_total.append(float(total.value))
-            step += 1
-        rows.append(
-            (
-                epoch,
-                math.fsum(epoch_nll) / steps_per_epoch,
-                math.fsum(epoch_pcl) / steps_per_epoch,
-                math.fsum(epoch_total) / steps_per_epoch,
-                lr,
-            )
-        )
+
+    def batch_loss(pt, views):
+        h = encoder_forward_t(pt, tape.constant(views.views), cfg.model)
+        w, m, v, z = mdn_forward_t(pt, h, cfg.model)
+        nll = nll_loss_t(w, m, v, z)
+        pcl = pcl_loss_t(w, m, v, views.labels, cfg.model.mixture_dim, cfg.loss)
+        return nll, pcl, nll + pcl * cfg.loss.lam
+
+    rows = _fit(
+        params,
+        cfg.optim,
+        trainable=("enc.", "mdn."),
+        epochs=cfg.optim.contrastive_epochs,
+        num_samples=len(x_train),
+        drop_last=True,
+        shuffle_seed=splitmix64(cfg.seed, STREAM_CONTRASTIVE_SHUFFLE),
+        make_batch=make_batch,
+        batch_loss=batch_loss,
+        objective="total",
+    )
     curve = out / "contrastive_loss.csv"
     _write_csv(curve, cfg, "epoch,nll,pcl,total,lr", rows)
     ckpt = out / "contrastive.ckpt"
@@ -193,8 +216,9 @@ def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> 
     """Stage two: train only the linear head; the encoder must not move.
 
     Embeddings are precomputed once (the encoder is frozen), the head is
-    trained with the asymmetric loss, and the encoder bytes are compared
-    before and after as a hard guarantee.
+    trained with the asymmetric loss on every batch including a trailing
+    partial one, and the encoder bytes are compared before and after as
+    a hard guarantee.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,40 +228,23 @@ def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> 
     frozen_before = encoder_bytes(params)
     embeddings = encoder_forward(params, features[train_idx], cfg.model)
     y_train = labels[train_idx]
-    keys = [k for k in params if k.startswith("cls.")]
-    state = init_adam(params, keys=keys)
-    batch = cfg.optim.batch_size
-    steps_per_epoch = math.ceil(len(embeddings) / batch)
-    total_steps = cfg.optim.classifier_epochs * steps_per_epoch
-    shuffle_base = splitmix64(cfg.seed, STREAM_CLASSIFIER_SHUFFLE)
-    rows = []
-    step = 0
-    for epoch in range(cfg.optim.classifier_epochs):
-        order = np.random.default_rng(splitmix64(shuffle_base, epoch)).permutation(
-            len(embeddings)
-        )
-        epoch_loss = []
-        lr = cfg.optim.peak_lr
-        for b in range(steps_per_epoch):
-            idx = order[b * batch : (b + 1) * batch]
-            pt = params_to_tensors(params, trainable_prefixes=("cls.",))
-            probs = classifier_forward_t(pt, tape.constant(embeddings[idx]))
-            loss = asl_loss_t(probs, y_train[idx], cfg.asl)
-            if not np.isfinite(loss.value):
-                raise NumericError(f"non-finite classifier loss at step {step}")
-            tape.backward(loss)
-            lr = one_cycle_lr(
-                step,
-                total_steps,
-                cfg.optim.peak_lr,
-                warmup_frac=cfg.optim.warmup_frac,
-                final_factor=cfg.optim.final_factor,
-                start_factor=cfg.optim.start_factor,
-            )
-            adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
-            epoch_loss.append(float(loss.value))
-            step += 1
-        rows.append((epoch, math.fsum(epoch_loss) / steps_per_epoch, lr))
+
+    def batch_loss(pt, idx):
+        probs = classifier_forward_t(pt, tape.constant(embeddings[idx]))
+        return (asl_loss_t(probs, y_train[idx], cfg.asl),)
+
+    rows = _fit(
+        params,
+        cfg.optim,
+        trainable=("cls.",),
+        epochs=cfg.optim.classifier_epochs,
+        num_samples=len(embeddings),
+        drop_last=False,
+        shuffle_seed=splitmix64(cfg.seed, STREAM_CLASSIFIER_SHUFFLE),
+        make_batch=lambda idx, step: idx,
+        batch_loss=batch_loss,
+        objective="classifier",
+    )
     if encoder_bytes(params) != frozen_before:
         raise RuntimeError("frozen encoder changed during classifier training")
     curve = out / "classifier_loss.csv"
@@ -292,7 +299,11 @@ def _sweep_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
         loss = dataclasses.replace(cfg.loss, measure=str(value))
     else:
         field = {"tau": "tau", "alpha": "alpha", "lambda": "lam"}[param]
-        loss = dataclasses.replace(cfg.loss, **{field: float(value)})
+        try:
+            number = float(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"sweep value {value!r} for {param} is not a number") from exc
+        loss = dataclasses.replace(cfg.loss, **{field: number})
     return dataclasses.replace(cfg, loss=loss)
 
 
@@ -318,9 +329,8 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
             stage_one = train_contrastive(run_cfg, sub)
             stage_two = train_classifier(run_cfg, stage_one.checkpoint, sub)
             _, labels, train_idx, _ = dataset_split(run_cfg)
-            sets = positive_sets(
-                labels[train_idx], run_cfg.loss.alpha, run_cfg.loss.measure
-            )
+            overlap = overlap_matrix(labels[train_idx], run_cfg.loss.measure)
+            positive = positive_mask(overlap, run_cfg.loss.alpha)
             r = stage_two.report
             rows.append(
                 (
@@ -333,7 +343,7 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
                     r.op,
                     r.or_,
                     r.of1,
-                    mean_positive_set_size(sets),
+                    int(positive.sum()) / len(train_idx),
                     "ok",
                 )
             )

@@ -21,6 +21,8 @@ from .errors import InputError, NumericError
 
 Array = np.ndarray
 
+# Maps the output gradient to one gradient per parent; binary ops return
+# None for a parent that needs none, so constant operands cost nothing.
 _BackwardFn = Callable[[Array], tuple]
 
 
@@ -133,7 +135,10 @@ def add(a, b) -> Tensor:
     out = a.value + b.value
 
     def bw(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return (
+            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.value.shape) if b.requires_grad else None,
+        )
 
     return _node("add", out, (a, b), bw)
 
@@ -143,7 +148,10 @@ def sub(a, b) -> Tensor:
     out = a.value - b.value
 
     def bw(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
+        return (
+            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.value.shape) if b.requires_grad else None,
+        )
 
     return _node("sub", out, (a, b), bw)
 
@@ -154,8 +162,8 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
         )
 
     return _node("mul", out, (a, b), bw)
@@ -167,8 +175,10 @@ def div(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g / b.value, a.value.shape),
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+            _unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
+            if b.requires_grad
+            else None,
         )
 
     return _node("div", out, (a, b), bw)
@@ -262,8 +272,8 @@ def where(condition, a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(np.where(cond, g, 0.0), a.value.shape),
-            _unbroadcast(np.where(cond, 0.0, g), b.value.shape),
+            _unbroadcast(np.where(cond, g, 0.0), a.value.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(cond, 0.0, g), b.value.shape) if b.requires_grad else None,
         )
 
     return _node("where", out, (a, b), bw)
@@ -300,7 +310,10 @@ def matmul(a, b) -> Tensor:
     out = a.value @ b.value
 
     def bw(g):
-        return g @ b.value.T, a.value.T @ g
+        return (
+            g @ b.value.T if a.requires_grad else None,
+            a.value.T @ g if b.requires_grad else None,
+        )
 
     return _node("matmul", out, (a, b), bw)
 
@@ -375,7 +388,9 @@ def backward(loss: Tensor) -> None:
             if not np.all(np.isfinite(contribution)):
                 raise NumericError(f"non-finite gradient produced by op '{node.op}'")
             if parent.grad is None:
-                parent.grad = np.array(contribution, dtype=np.float64)
+                # No copy: gradients are never updated in place, so sharing
+                # an array with a child's gradient is safe.
+                parent.grad = np.asarray(contribution, dtype=np.float64)
             else:
                 parent.grad = parent.grad + contribution
 

@@ -28,15 +28,7 @@ from mixcon.gmm import (
     density,
     mixture_cross_integral,
 )
-from mixcon.losses import (
-    AslConfig,
-    ContrastiveLossConfig,
-    asl_loss,
-    nll_loss_t,
-    pcl_loss,
-    pcl_loss_t,
-    total_loss_t,
-)
+from mixcon.losses import AslConfig, ContrastiveLossConfig, asl_loss_t, nll_loss_t, pcl_loss_t
 from mixcon.metrics import PredictionSet, average_precision, pr_f1_report
 from mixcon.model import (
     ModelConfig,
@@ -47,7 +39,7 @@ from mixcon.model import (
     params_to_tensors,
 )
 from mixcon.optim import finite_diff_check
-from mixcon.overlap import positive_sets
+from mixcon.overlap import overlap_matrix, positive_mask
 from mixcon.pipeline import train_classifier, train_contrastive
 from mixcon import tape
 
@@ -137,7 +129,7 @@ def _toy_total_loss(rng):
         w, m, v, z = mdn_forward_t(pt, h, cfg)
         nll = nll_loss_t(w, m, v, z)
         pcl = pcl_loss_t(w, m, v, labels, cfg.mixture_dim, loss_cfg)
-        return total_loss_t(nll, pcl, loss_cfg.lam)
+        return nll + pcl * loss_cfg.lam
 
     return params, loss_fn, parameter_count(cfg)
 
@@ -160,16 +152,28 @@ def test_criterion_3_gradient_suite():
     )
 
 
+def _stacked(mixtures):
+    """(weights, means, variances) of a mixture batch as (B, C) constants."""
+    return [
+        tape.constant(np.stack([getattr(g, field) for g in mixtures]))
+        for field in ("weights", "means", "variances")
+    ]
+
+
 def test_criterion_4_pcl_closed_form_fixtures():
     shared = IsoGaussianMixture([0.6, 0.4], [0.3, -0.8], [1.2, 2.0], 3)
     identical = [shared] * 4
     labels_same = np.array([[1, 0, 1]] * 4)
-    value_same, _ = pcl_loss(identical, labels_same, ContrastiveLossConfig(tau=0.2))
+    cfg_same = ContrastiveLossConfig(tau=0.2)
+    value_same = float(pcl_loss_t(*_stacked(identical), labels_same, 3, cfg_same).value)
     fixture_err = abs(value_same - 4.0 * math.log(3.0))
     rng = np.random.default_rng(7)
     disjoint = [random_mixture(rng, dim=2, components=2) for _ in range(4)]
     labels_disjoint = np.eye(4, dtype=np.int64)
-    value_disjoint, _ = pcl_loss(disjoint, labels_disjoint, ContrastiveLossConfig())
+    cfg_disjoint = ContrastiveLossConfig()
+    value_disjoint = float(
+        pcl_loss_t(*_stacked(disjoint), labels_disjoint, 2, cfg_disjoint).value
+    )
     record(
         4,
         "all-identical batch gives 4 log 3; all-disjoint batch gives 0",
@@ -195,7 +199,7 @@ def test_criterion_5_pcl_brute_force_equivalence():
         alpha = float(rng.choice([0.1, 0.4, 0.6, 0.9]))
         measure = "jaccard" if trial % 2 == 0 else "cosine"
         cfg = ContrastiveLossConfig(tau=tau, alpha=alpha, measure=measure)
-        ours, _ = pcl_loss(batch, labels, cfg)
+        ours = float(pcl_loss_t(*_stacked(batch), labels, dim, cfg).value)
         theirs = naive_pcl(batch, labels, tau, alpha, measure)
         worst = max(worst, abs(ours - theirs))
     record(
@@ -214,15 +218,11 @@ def test_criterion_6_positive_set_nesting():
         batch = int(rng.integers(2, 9))
         labels = rng.integers(0, 2, (batch, num_classes))
         labels[labels.sum(axis=1) == 0, 0] = 1
-        tight = positive_sets(labels, 0.9)
-        mid = positive_sets(labels, 0.5)
-        loose = positive_sets(labels, 0.1)
-        for s_t, s_m, s_l in zip(tight, mid, loose):
-            nested = (
-                nested
-                and set(s_t.indices()) <= set(s_m.indices())
-                and set(s_m.indices()) <= set(s_l.indices())
-            )
+        overlap = overlap_matrix(labels)
+        tight = positive_mask(overlap, 0.9)
+        mid = positive_mask(overlap, 0.5)
+        loose = positive_mask(overlap, 0.1)
+        nested = nested and not (tight & ~mid).any() and not (mid & ~loose).any()
     record(
         6,
         "positive sets nest: alpha 0.9 within 0.5 within 0.1",
@@ -342,11 +342,15 @@ def test_criterion_10_asl_degeneracies():
     rng = np.random.default_rng(77)
     probs = rng.uniform(0.02, 0.98, (6, 4))
     labels = rng.integers(0, 2, (6, 4))
-    plain, _ = asl_loss(probs, labels, AslConfig(gamma_pos=0.0, gamma_neg=0.0, margin=0.0))
+    plain_cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.0, margin=0.0)
+    plain = float(asl_loss_t(tape.constant(probs), labels, plain_cfg).value)
     bce_err = abs(plain - naive_bce(probs, labels))
     low = np.full((2, 3), 0.03)
     zeros = np.zeros((2, 3), dtype=np.int64)
-    clipped_value, clipped_grad = asl_loss(low, zeros, AslConfig())
+    low_leaf = tape.leaf(low)
+    clipped = asl_loss_t(low_leaf, zeros, AslConfig())
+    clipped_value = float(clipped.value)
+    (clipped_grad,) = tape.grads_of(clipped, [low_leaf])
     clipped_ok = clipped_value == 0.0 and np.all(clipped_grad == 0.0)
     record(
         10,

@@ -88,3 +88,30 @@ def test_optim_validation():
         OptimConfig(warmup_frac=1.0)
     with pytest.raises(InputError):
         DataConfig(holdout_frac=0.0)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "seed", "abc"),
+        (None, "threshold", "high"),
+        ("model", "embed_dim", "wide"),
+        ("model", "encoder_hidden", ["x"]),
+        ("loss", "measure", ["jaccard"]),
+        ("data", "num_samples", "many"),
+    ],
+)
+def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):
+    payload = to_dict(ExperimentConfig())
+    (payload if section is None else payload[section])[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError):
+        load_config(path)
+
+
+def test_non_utf8_config_file_raises_input_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(InputError):
+        load_config(path)

@@ -309,6 +309,30 @@ class TestDatasetFile:
         with pytest.raises(InputError):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "# mixcon-dataset v1 {not json\n0.5 0.5|01\n",
+            "# mixcon-dataset v1 {}\n0.5 abc|01\n",
+            "# mixcon-dataset v1 {}\n0.5 0.5|0x\n",
+            "# mixcon-dataset v1 {}\n0.5 0.5|02\n",
+            "# mixcon-dataset v1 {}\n0.5 0.5|01\n0.5|01\n",
+            "# mixcon-dataset v1 {}\n0.5 0.5|01\n0.5 0.5|1\n",
+        ],
+        ids=["header-json", "feature-token", "label-letter", "label-digit", "ragged-features", "ragged-labels"],
+    )
+    def test_bad_values_raise_input_error(self, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(InputError):
+            load_dataset(path)
+
+    def test_non_utf8_file_raises_input_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# mixcon-dataset v1 {}\n0.5\xff|1\n")
+        with pytest.raises(InputError):
+            load_dataset(path)
+
 
 class TestSplitmix:
     def test_deterministic_and_distinct(self):

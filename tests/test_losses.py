@@ -7,22 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcon import tape
+from mixcon import losses, tape
 from mixcon.errors import InputError, NumericError
 from mixcon.gmm import IsoGaussianMixture, correlation_coefficient
 from mixcon.losses import (
     AslConfig,
     ContrastiveLossConfig,
-    asl_loss,
     asl_loss_t,
-    nll_loss,
     nll_loss_t,
-    pcl_loss,
     pcl_loss_t,
     similarity_matrix_t,
-    stack_mixtures,
-    total_loss,
-    total_loss_t,
 )
 
 import reference
@@ -36,6 +30,14 @@ def random_batch(rng, b, c, n):
     v = rng.uniform(1.0, 4.0, size=(b, c))
     mixtures = [IsoGaussianMixture(w[i], m[i], v[i], n) for i in range(b)]
     return w, m, v, mixtures
+
+
+def leaves(*blocks):
+    return [tape.leaf(np.asarray(b, dtype=np.float64)) for b in blocks]
+
+
+def constants(*blocks):
+    return [tape.constant(np.asarray(b, dtype=np.float64)) for b in blocks]
 
 
 def random_labels(rng, b, c):
@@ -75,18 +77,20 @@ def test_asl_config_defaults_and_validation():
 
 
 def test_nll_standard_normal_fixture():
-    gmm = IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]), 2)
-    value, grads = nll_loss([gmm], np.zeros((1, 2)))
-    assert value == pytest.approx(math.log(2.0 * math.pi), rel=1e-12)
-    assert grads.weights.shape == (1, 1) and grads.targets.shape == (1, 2)
+    w, m, v, z = leaves([[1.0]], [[0.0]], [[1.0]], np.zeros((1, 2)))
+    loss = nll_loss_t(w, m, v, z)
+    gw, _, _, gz = tape.grads_of(loss, [w, m, v, z])
+    assert float(loss.value) == pytest.approx(math.log(2.0 * math.pi), rel=1e-12)
+    assert gw.shape == (1, 1) and gz.shape == (1, 2)
 
 
 def test_nll_additivity_over_batch():
     rng = np.random.default_rng(2)
-    _, _, _, mixtures = random_batch(rng, 1, 3, 2)
+    w, m, v, _ = random_batch(rng, 1, 3, 2)
     z = rng.normal(size=(1, 2))
-    one, _ = nll_loss(mixtures, z)
-    two, _ = nll_loss(mixtures * 2, np.vstack([z, z]))
+    one = float(nll_loss_t(*constants(w, m, v, z)).value)
+    doubled = (np.vstack([a, a]) for a in (w, m, v, z))
+    two = float(nll_loss_t(*constants(*doubled)).value)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -94,12 +98,13 @@ def test_nll_matches_reference_and_gradient_matches_fd():
     rng = np.random.default_rng(7)
     w, m, v, mixtures = random_batch(rng, 3, 2, 2)
     z = rng.normal(size=(3, 2))
-    value, grads = nll_loss(mixtures, z)
-    assert value == pytest.approx(reference.naive_nll(mixtures, z), rel=1e-12)
+    tw, tm, tv, tz = leaves(w, m, v, z)
+    loss = nll_loss_t(tw, tm, tv, tz)
+    assert float(loss.value) == pytest.approx(reference.naive_nll(mixtures, z), rel=1e-12)
 
     step = 1e-6
     blocks = {"w": w, "m": m, "v": v, "z": z}
-    grad_of = {"w": grads.weights, "m": grads.means, "v": grads.variances, "z": grads.targets}
+    grad_of = dict(zip(blocks, tape.grads_of(loss, [tw, tm, tv, tz])))
 
     def run(overrides):
         merged = {**blocks, **overrides}
@@ -120,16 +125,14 @@ def test_nll_matches_reference_and_gradient_matches_fd():
 
 
 def test_nll_validation():
-    gmm = IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]), 2)
+    single = constants([[1.0]], [[0.0]], [[1.0]])
     with pytest.raises(InputError):
-        nll_loss([gmm], np.zeros((1, 3)))
+        nll_loss_t(*single, tape.constant(np.zeros((2, 2))))  # batch mismatch
     with pytest.raises(InputError):
-        nll_loss([gmm, gmm], np.zeros((1, 2)))
-    zero_weight = IsoGaussianMixture(
-        np.array([1.0, 0.0]), np.zeros(2), np.ones(2), 2
-    )
+        nll_loss_t(*single, tape.constant(np.zeros(2)))  # targets not (B, n)
+    zero_weight = constants([[1.0, 0.0]], np.zeros((1, 2)), np.ones((1, 2)))
     with pytest.raises(InputError):
-        nll_loss([zero_weight], np.zeros((1, 2)))
+        nll_loss_t(*zero_weight, tape.constant(np.zeros((1, 2))))
 
 
 # -- similarity matrix ---------------------------------------------------------
@@ -150,31 +153,34 @@ def test_similarity_matrix_matches_pairwise_closed_form():
 # -- pcl -----------------------------------------------------------------------
 
 
-def identical_batch(b, c=2, n=2):
+def identical_batch(b, c=2):
     w = np.full((b, c), 1.0 / c)
     m = np.tile(np.linspace(-1.0, 1.0, c), (b, 1))
     v = np.full((b, c), 2.0)
-    mixtures = [IsoGaussianMixture(w[i], m[i], v[i], n) for i in range(b)]
     labels = np.tile(np.array([1] + [0] * (c - 1)), (b, 1))
-    return mixtures, labels
+    return (w, m, v), labels
 
 
 def test_pcl_all_identical_fixture():
-    mixtures, labels = identical_batch(4)
-    value, _ = pcl_loss(mixtures, labels, ContrastiveLossConfig(tau=0.2))
+    blocks, labels = identical_batch(4)
+    cold = pcl_loss_t(*constants(*blocks), labels, 2, ContrastiveLossConfig(tau=0.2))
+    value = float(cold.value)
     assert value == pytest.approx(4.0 * math.log(3.0), abs=1e-9)
     # The fixture is temperature-independent: softmax of equal scores is uniform.
-    value_hot, _ = pcl_loss(mixtures, labels, ContrastiveLossConfig(tau=5.0))
+    hot = pcl_loss_t(*constants(*blocks), labels, 2, ContrastiveLossConfig(tau=5.0))
+    value_hot = float(hot.value)
     assert value_hot == pytest.approx(4.0 * math.log(3.0), abs=1e-9)
 
 
 def test_pcl_disjoint_labels_is_exactly_zero():
     rng = np.random.default_rng(3)
-    _, _, _, mixtures = random_batch(rng, 4, 2, 2)
+    w, m, v, _ = random_batch(rng, 4, 2, 2)
     labels = np.eye(4, dtype=int)
-    value, grads = pcl_loss(mixtures, labels, ContrastiveLossConfig(alpha=0.5))
-    assert value == 0.0
-    np.testing.assert_array_equal(grads.means, np.zeros_like(grads.means))
+    tw, tm, tv = leaves(w, m, v)
+    loss = pcl_loss_t(tw, tm, tv, labels, 2, ContrastiveLossConfig(alpha=0.5))
+    assert float(loss.value) == 0.0
+    (grad_means,) = tape.grads_of(loss, [tm])
+    np.testing.assert_array_equal(grad_means, np.zeros_like(m))
 
 
 def test_pcl_matches_brute_force_reference():
@@ -183,10 +189,10 @@ def test_pcl_matches_brute_force_reference():
         b = int(rng.integers(2, 9))
         c = int(rng.integers(2, 4))
         n = int(rng.integers(2, 4))
-        _, _, _, mixtures = random_batch(rng, b, c, n)
+        w, m, v, mixtures = random_batch(rng, b, c, n)
         labels = random_labels(rng, b, c)
         cfg = ContrastiveLossConfig(tau=0.2, alpha=0.6)
-        value, _ = pcl_loss(mixtures, labels, cfg)
+        value = float(pcl_loss_t(*constants(w, m, v), labels, n, cfg).value)
         expected = reference.naive_pcl(mixtures, labels, tau=0.2, alpha=0.6)
         assert value == pytest.approx(expected, abs=1e-10)
 
@@ -194,38 +200,35 @@ def test_pcl_matches_brute_force_reference():
 def test_pcl_one_hot_reduces_to_unweighted_supervised_contrastive():
     rng = np.random.default_rng(29)
     b = 6
-    _, _, _, mixtures = random_batch(rng, b, 3, 2)
+    w, m, v, mixtures = random_batch(rng, b, 3, 2)
     labels = np.eye(3, dtype=int)[rng.integers(0, 3, size=b)]
     cfg = ContrastiveLossConfig(tau=0.3, alpha=0.6)
-    value, _ = pcl_loss(mixtures, labels, cfg)
+    value = float(pcl_loss_t(*constants(w, m, v), labels, 2, cfg).value)
     expected = reference.naive_pcl(mixtures, labels, tau=0.3, alpha=0.6)
     assert value == pytest.approx(expected, abs=1e-10)
     d = reference.naive_jaccard(labels[0], labels[1])
     assert d in (0.0, 1.0)
 
 
-def test_pcl_weight_scales_pair_term_linearly():
+def test_pcl_weight_scales_pair_term_linearly(monkeypatch):
     """Varying one positive pair's overlap weight moves the loss affinely.
 
-    A callable measure pins every weight to 0.7 except the ordered pair
+    The overlap matrix is pinned to 0.7 everywhere except the ordered pair
     (anchor 0, member 1), which gets a controllable value t.  As long as
     t stays above alpha the positive sets are unchanged, so the loss is
     an affine function of t with slope -log_softmax[0, 1] / |A(0)|.
     """
     rng = np.random.default_rng(31)
-    _, _, _, mixtures = random_batch(rng, 4, 2, 2)
+    w, m, v, _ = random_batch(rng, 4, 2, 2)
     labels = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
-    pair_key = (tuple(labels[0]), tuple(labels[1]))
 
-    def measure_with(t):
-        def measure(a, b):
-            return t if (tuple(a), tuple(b)) == pair_key else 0.7
-
-        return measure
+    cfg = ContrastiveLossConfig(tau=0.2, alpha=0.5)
 
     def loss_at(t):
-        cfg = ContrastiveLossConfig(tau=0.2, alpha=0.5, measure=measure_with(t))
-        return pcl_loss(mixtures, labels, cfg)[0]
+        d = np.full((4, 4), 0.7)
+        d[0, 1] = t
+        monkeypatch.setattr(losses, "overlap_matrix", lambda labels, measure: d)
+        return float(pcl_loss_t(*constants(w, m, v), labels, 2, cfg).value)
 
     lo, mid, hi = loss_at(0.5), loss_at(0.7), loss_at(0.9)
     assert hi - mid == pytest.approx(mid - lo, abs=1e-12)
@@ -235,10 +238,10 @@ def test_pcl_weight_scales_pair_term_linearly():
 def test_pcl_temperature_flattening_limit():
     rng = np.random.default_rng(37)
     b = 6
-    _, _, _, mixtures = random_batch(rng, b, 2, 2)
+    w, m, v, _ = random_batch(rng, b, 2, 2)
     labels = random_labels(rng, b, 3)
     cfg = ContrastiveLossConfig(tau=1e7, alpha=0.6)
-    value, _ = pcl_loss(mixtures, labels, cfg)
+    value = float(pcl_loss_t(*constants(w, m, v), labels, 2, cfg).value)
     d = reference.naive_jaccard
     expected = 0.0
     for i in range(b):
@@ -250,12 +253,13 @@ def test_pcl_temperature_flattening_limit():
 
 def test_pcl_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
-    w, m, v, mixtures = random_batch(rng, 4, 2, 2)
+    w, m, v, _ = random_batch(rng, 4, 2, 2)
     labels = random_labels(rng, 4, 3)
     cfg = ContrastiveLossConfig()
-    _, grads = pcl_loss(mixtures, labels, cfg)
+    tw, tm, tv = leaves(w, m, v)
+    grads = tape.grads_of(pcl_loss_t(tw, tm, tv, labels, 2, cfg), [tw, tm, tv])
     step = 1e-6
-    for arr, grad, name in ((w, grads.weights, "w"), (m, grads.means, "m"), (v, grads.variances, "v")):
+    for arr, grad, name in zip((w, m, v), grads, "wmv"):
         idx = (1, 0)
         hi, lo = arr.copy(), arr.copy()
         hi[idx] += step
@@ -264,10 +268,7 @@ def test_pcl_gradient_matches_finite_differences():
         def run(block):
             blocks = {"w": w, "m": m, "v": v}
             blocks[name] = block
-            return pcl_loss_t(
-                tape.constant(blocks["w"]), tape.constant(blocks["m"]),
-                tape.constant(blocks["v"]), labels, 2, cfg,
-            ).value.item()
+            return float(pcl_loss_t(*constants(*blocks.values()), labels, 2, cfg).value)
 
         numeric = (run(hi) - run(lo)) / (2 * step)
         analytic = grad[idx]
@@ -277,47 +278,54 @@ def test_pcl_gradient_matches_finite_differences():
 
 def test_pcl_batch_size_validation():
     rng = np.random.default_rng(43)
-    _, _, _, mixtures = random_batch(rng, 1, 2, 2)
+    w, m, v, _ = random_batch(rng, 1, 2, 2)
     with pytest.raises(InputError):
-        pcl_loss(mixtures, np.array([[1, 0]]), ContrastiveLossConfig())
+        pcl_loss_t(*constants(w, m, v), np.array([[1, 0]]), 2, ContrastiveLossConfig())
 
 
-def test_stack_mixtures_rejects_ragged_batches():
-    a = IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]), 2)
-    b = IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([1.0]), 3)
+def test_loss_blocks_reject_ragged_parameter_shapes():
+    w, m, v = np.full((2, 2), 0.5), np.zeros((2, 2)), np.ones((2, 2))
+    labels, cfg = np.array([[1, 0], [1, 1]]), ContrastiveLossConfig()
     with pytest.raises(InputError):
-        stack_mixtures([a, b])
+        pcl_loss_t(*constants(w, m[:, :1], v), labels, 2, cfg)
     with pytest.raises(InputError):
-        stack_mixtures([])
+        pcl_loss_t(*constants(w[:1], m, v), labels, 2, cfg)
+    with pytest.raises(InputError):
+        nll_loss_t(*constants(w, m, v[:1]), tape.constant(np.zeros((2, 2))))
+    with pytest.raises(InputError):
+        nll_loss_t(*constants(w[0], m[0], v[0]), tape.constant(np.zeros((2, 2))))
 
 
 # -- total ----------------------------------------------------------------------
 
 
 def test_total_loss_arithmetic():
-    assert total_loss(2.0, 3.0, 1.0) == 5.0
-    assert total_loss(2.0, 3.0, 0.0) == 2.0
-    assert total_loss(2.0, 3.0, 0.3) == pytest.approx(2.9, rel=1e-15)
+    nll, pcl = tape.constant(np.array(2.0)), tape.constant(np.array(3.0))
+    assert float((nll + pcl * 1.0).value) == 5.0
+    assert float((nll + pcl * 0.0).value) == 2.0
+    assert float((nll + pcl * 0.3).value) == pytest.approx(2.9, rel=1e-15)
     with pytest.raises(InputError):
-        total_loss(1.0, 1.0, -0.5)
+        ContrastiveLossConfig(lam=-0.5)
 
 
 def test_total_loss_gradient_is_linear_combination():
     rng = np.random.default_rng(47)
-    w, m, v, mixtures = random_batch(rng, 4, 2, 2)
+    w, m, v, _ = random_batch(rng, 4, 2, 2)
     labels = random_labels(rng, 4, 3)
     z = rng.normal(size=(4, 2))
     lam = 0.3
-    tw, tm, tv = tape.leaf(w), tape.leaf(m), tape.leaf(v)
-    nll = nll_loss_t(tw, tm, tv, tape.constant(z))
-    pcl = pcl_loss_t(tw, tm, tv, labels, 2, ContrastiveLossConfig())
-    combined = total_loss_t(nll, pcl, lam)
-    gw_total = tape.grads_of(combined, [tw])[0].copy()
-    _, g_nll = nll_loss(mixtures, z)
-    _, g_pcl = pcl_loss(mixtures, labels, ContrastiveLossConfig())
-    np.testing.assert_allclose(
-        gw_total, g_nll.weights + lam * g_pcl.weights, rtol=1e-12, atol=1e-12
-    )
+    cfg = ContrastiveLossConfig()
+
+    def weight_grad(objective):
+        tw, tm, tv = leaves(w, m, v)
+        nll = nll_loss_t(tw, tm, tv, tape.constant(z))
+        pcl = pcl_loss_t(tw, tm, tv, labels, 2, cfg)
+        return tape.grads_of(objective(nll, pcl), [tw])[0].copy()
+
+    gw_total = weight_grad(lambda nll, pcl: nll + pcl * lam)
+    g_nll = weight_grad(lambda nll, pcl: nll)
+    g_pcl = weight_grad(lambda nll, pcl: pcl)
+    np.testing.assert_allclose(gw_total, g_nll + lam * g_pcl, rtol=1e-12, atol=1e-12)
 
 
 # -- asl -------------------------------------------------------------------------
@@ -328,15 +336,15 @@ def test_asl_reduces_to_bce_when_disabled():
     probs = rng.uniform(0.05, 0.95, size=(6, 4))
     labels = (rng.random((6, 4)) < 0.5).astype(int)
     cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.0, margin=0.0)
-    value, _ = asl_loss(probs, labels, cfg)
+    value = float(asl_loss_t(tape.constant(probs), labels, cfg).value)
     assert value == pytest.approx(reference.naive_bce(probs, labels), abs=1e-12)
 
 
 def test_asl_hand_fixtures():
-    value, _ = asl_loss(np.array([0.9]), np.array([1]), AslConfig(gamma_pos=0.0))
-    assert value == pytest.approx(-math.log(0.9), rel=1e-12)
-    perfect, _ = asl_loss(np.array([1.0]), np.array([1]), AslConfig())
-    assert perfect == 0.0
+    value = asl_loss_t(tape.constant(np.array([0.9])), np.array([1]), AslConfig(gamma_pos=0.0))
+    assert float(value.value) == pytest.approx(-math.log(0.9), rel=1e-12)
+    perfect = asl_loss_t(tape.constant(np.array([1.0])), np.array([1]), AslConfig())
+    assert float(perfect.value) == 0.0
 
 
 def test_asl_matches_direct_reference():
@@ -344,30 +352,30 @@ def test_asl_matches_direct_reference():
     probs = rng.uniform(0.0, 1.0, size=(5, 3))
     labels = (rng.random((5, 3)) < 0.5).astype(int)
     cfg = AslConfig(gamma_pos=1.5, gamma_neg=4.0, margin=0.05)
-    value, _ = asl_loss(probs, labels, cfg)
+    value = float(asl_loss_t(tape.constant(probs), labels, cfg).value)
     expected = reference.naive_asl(probs, labels, 1.5, 4.0, 0.05)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_asl_clipped_negatives_have_zero_value_and_gradient():
     cfg = AslConfig()  # margin 0.05
-    probs = np.array([0.01, 0.05, 0.2])
+    probs = tape.leaf(np.array([0.01, 0.05, 0.2]))
     labels = np.array([0, 0, 0])
-    value, grad = asl_loss(probs, labels, cfg)
+    (grad,) = tape.grads_of(asl_loss_t(probs, labels, cfg), [probs])
     below, at_margin, above = grad
     assert below == 0.0 and at_margin == 0.0
     assert above != 0.0
-    clipped_only, _ = asl_loss(np.array([0.01, 0.05]), np.array([0, 0]), cfg)
-    assert clipped_only == 0.0
+    clipped_only = asl_loss_t(tape.constant(np.array([0.01, 0.05])), np.array([0, 0]), cfg)
+    assert float(clipped_only.value) == 0.0
 
 
 def test_asl_validation():
     with pytest.raises(InputError):
-        asl_loss(np.array([1.2]), np.array([1]), AslConfig())
+        asl_loss_t(tape.constant(np.array([1.2])), np.array([1]), AslConfig())
     with pytest.raises(InputError):
-        asl_loss(np.array([0.5, 0.5]), np.array([1]), AslConfig())
+        asl_loss_t(tape.constant(np.array([0.5, 0.5])), np.array([1]), AslConfig())
     with pytest.raises(InputError):
-        asl_loss(np.array([0.5]), np.array([2]), AslConfig())
+        asl_loss_t(tape.constant(np.array([0.5])), np.array([2]), AslConfig())
 
 
 def test_asl_infinite_loss_surfaces_as_numeric_error():
@@ -386,7 +394,8 @@ def test_asl_gradient_matches_finite_differences(seed):
     probs = rng.uniform(0.1, 0.9, size=4)
     labels = (rng.random(4) < 0.5).astype(int)
     cfg = AslConfig(gamma_pos=1.0, gamma_neg=4.0, margin=0.05)
-    _, grad = asl_loss(probs, labels, cfg)
+    leaf = tape.leaf(probs)
+    (grad,) = tape.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
     step = 1e-6
     for i in range(4):
         if abs(probs[i] - cfg.margin) < 10 * step:
@@ -395,7 +404,8 @@ def test_asl_gradient_matches_finite_differences(seed):
         hi[i] += step
         lo[i] -= step
         numeric = (
-            asl_loss(hi, labels, cfg)[0] - asl_loss(lo, labels, cfg)[0]
+            float(asl_loss_t(tape.constant(hi), labels, cfg).value)
+            - float(asl_loss_t(tape.constant(lo), labels, cfg).value)
         ) / (2 * step)
         denom = max(abs(grad[i]), abs(numeric), 1e-8)
         assert abs(grad[i] - numeric) / denom < 1e-4

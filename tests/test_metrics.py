@@ -11,7 +11,6 @@ from mixcon.metrics import (
     MetricsReport,
     PredictionSet,
     average_precision,
-    map_score,
     pr_f1_report,
     report_to_json,
 )
@@ -64,19 +63,20 @@ class TestMapScore:
             np.array([[0.9, 0.9], [0.1, 0.1]]),
             np.array([[1, 0], [0, 1]]),
         )
-        assert map_score(preds) == pytest.approx(0.75, abs=1e-15)
+        assert pr_f1_report(preds).map == pytest.approx(0.75, abs=1e-15)
 
     def test_positive_free_class_excluded(self):
         preds = PredictionSet(
             np.array([[0.9, 0.9], [0.1, 0.1]]),
             np.array([[1, 0], [0, 0]]),
         )
-        assert map_score(preds) == 1.0
+        assert pr_f1_report(preds).map == 1.0
 
-    def test_all_classes_positive_free_raises(self):
+    def test_all_classes_positive_free_gives_nan(self):
         preds = PredictionSet(np.array([[0.9], [0.1]]), np.array([[0], [0]]))
-        with pytest.raises(InputError):
-            map_score(preds)
+        report = pr_f1_report(preds)
+        assert math.isnan(report.map)
+        assert json.loads(report_to_json(report))["metrics"]["map"] is None
 
 
 class TestReport:
@@ -158,8 +158,8 @@ class TestReport:
         scores = rng.permutation(np.linspace(0.05, 0.95, n * c)).reshape(n, c)
         truths = rng.integers(0, 2, (n, c))
         truths[0] = 1
-        a = map_score(PredictionSet(scores, truths))
-        b = map_score(PredictionSet(scores**2, truths))
+        a = pr_f1_report(PredictionSet(scores, truths)).map
+        b = pr_f1_report(PredictionSet(scores**2, truths)).map
         assert a == b
 
     def test_threshold_validation(self):

@@ -1,5 +1,6 @@
 """Model forward passes, initialization scheme, and checkpoint round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from mixcon.model import (
     encoder_forward,
     init_params,
     load_checkpoint,
-    mdn_forward,
+    mdn_forward_t,
     parameter_count,
     params_to_tensors,
     save_checkpoint,
@@ -120,15 +121,17 @@ def test_mdn_outputs_valid_mixture():
     params = init_params(CFG, seed=7)
     rng = np.random.default_rng(1)
     h = encoder_forward(params, rng.normal(size=(5, 6)), CFG)
-    mixtures, targets = mdn_forward(params, h, CFG)
+    pt = params_to_tensors(params, trainable_prefixes=())
+    w, m, v, targets = (t.value for t in mdn_forward_t(pt, tape.constant(h), CFG))
     assert targets.shape == (5, 3)
-    for gmm in mixtures:
-        assert isinstance(gmm, IsoGaussianMixture)
+    assert w.shape == m.shape == v.shape == (5, 4)
+    for i in range(5):
+        gmm = IsoGaussianMixture(w[i], m[i], v[i], CFG.mixture_dim)
         assert gmm.num_components == 4 and gmm.dim == 3
         assert np.all(gmm.variances > 1.0)
-    single_gmm, single_z = mdn_forward(params, h[0], CFG)
-    np.testing.assert_allclose(single_z, targets[0], rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(single_gmm.weights, mixtures[0].weights, rtol=1e-12)
+    single_w, _, _, single_z = (t.value for t in mdn_forward_t(pt, tape.constant(h[:1]), CFG))
+    np.testing.assert_allclose(single_z[0], targets[0], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(single_w[0], w[0], rtol=1e-12)
 
 
 def test_mdn_uniform_weights_and_floor_variance_at_zero_activations():
@@ -138,21 +141,23 @@ def test_mdn_uniform_weights_and_floor_variance_at_zero_activations():
     params["mdn.pi.b"] = np.zeros_like(params["mdn.pi.b"])
     params["mdn.var.w"] = np.zeros_like(params["mdn.var.w"])
     params["mdn.var.b"] = np.zeros_like(params["mdn.var.b"])
-    h = encoder_forward(params, np.random.default_rng(2).normal(size=6), CFG)
-    gmm, _ = mdn_forward(params, h, CFG)
-    np.testing.assert_allclose(gmm.weights, np.full(4, 0.25), rtol=1e-12)
+    h = encoder_forward(params, np.random.default_rng(2).normal(size=(1, 6)), CFG)
+    pt = params_to_tensors(params, trainable_prefixes=())
+    w, _, v, _ = (t.value for t in mdn_forward_t(pt, tape.constant(h), CFG))
+    np.testing.assert_allclose(w, np.full((1, 4), 0.25), rtol=1e-12)
     # ELU(0) = 0, so the variance sits exactly at 2.
-    np.testing.assert_array_equal(gmm.variances, np.full(4, 2.0))
+    np.testing.assert_array_equal(v, np.full((1, 4), 2.0))
 
 
 def test_mdn_variance_approaches_floor_from_above():
     params = init_params(CFG, seed=9)
     params["mdn.var.w"] = np.zeros_like(params["mdn.var.w"])
     params["mdn.var.b"] = np.full_like(params["mdn.var.b"], -30.0)
-    h = encoder_forward(params, np.ones(6), CFG)
-    gmm, _ = mdn_forward(params, h, CFG)
-    assert np.all(gmm.variances >= 1.0)
-    np.testing.assert_allclose(gmm.variances, np.ones(4), atol=1e-12)
+    h = encoder_forward(params, np.ones((1, 6)), CFG)
+    pt = params_to_tensors(params, trainable_prefixes=())
+    _, _, v, _ = (t.value for t in mdn_forward_t(pt, tape.constant(h), CFG))
+    assert np.all(v >= 1.0)
+    np.testing.assert_allclose(v, np.ones((1, 4)), atol=1e-12)
 
 
 def test_classifier_matches_hand_sigmoid():
@@ -235,6 +240,54 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
         load_checkpoint(tmp_path / "cut.ckpt")
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _rewrite_header(src, dst, mutate):
+    """Copy a checkpoint with its JSON header line changed by ``mutate``."""
+    magic, header, data = src.read_bytes().split(b"\n", 2)
+    payload = json.loads(header)
+    mutate(payload)
+    dst.write_bytes(magic + b"\n" + json.dumps(payload).encode() + b"\n" + data)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h.pop("tensors"),
+        lambda h: h.pop("kind"),
+        lambda h: h.pop("seed"),
+        lambda h: h.pop("config"),
+        lambda h: h.pop("config_hash"),
+        lambda h: h["tensors"][0].pop("name"),
+        lambda h: h["tensors"][0].pop("shape"),
+        lambda h: h["tensors"][0].update(shape=["x"]),
+        lambda h: h["tensors"][0].update(shape=3),
+        lambda h: h.update(tensors=[1, 2]),
+        lambda h: h.update(tensors=None),
+    ],
+    ids=[
+        "no-tensors", "no-kind", "no-seed", "no-config", "no-config-hash",
+        "entry-no-name", "entry-no-shape", "entry-bad-dim", "entry-scalar-shape",
+        "entry-not-object", "tensors-null",
+    ],
+)
+def test_checkpoint_with_malformed_header_raises_input_error(tmp_path, mutate):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, init_params(CFG, seed=16), kind="k", seed=0, config={}, config_hash="h")
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_header(good, bad, mutate)
+    with pytest.raises(InputError):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_header_must_be_a_json_object(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(b"MIXCON1\n[1, 2]\n")
+    with pytest.raises(InputError):
+        load_checkpoint(path)
+    path.write_bytes(b"MIXCON1\n{\"version\": 1, \xff}\n")
+    with pytest.raises(InputError):
+        load_checkpoint(path)
 
 
 def test_encoder_bytes_tracks_only_encoder_tensors():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mixcon import tape
+from mixcon.config import OptimConfig
 from mixcon.errors import InputError
-from mixcon.losses import ContrastiveLossConfig, nll_loss_t, pcl_loss_t, total_loss_t
+from mixcon.losses import ContrastiveLossConfig, nll_loss_t, pcl_loss_t
 from mixcon.model import ModelConfig, encoder_forward_t, init_params, mdn_forward_t
 from mixcon.optim import adam_step, finite_diff_check, init_adam, one_cycle_lr
 
@@ -82,16 +83,27 @@ def test_adam_trajectories_are_deterministic():
 # -- one-cycle schedule ---------------------------------------------------------
 
 
+def peak(lr):
+    return OptimConfig(peak_lr=lr)
+
+
 def test_one_cycle_endpoints_are_exact():
-    assert one_cycle_lr(3, 10, 1.0) == 1.0  # 30% of 10 steps
-    assert one_cycle_lr(10, 10, 1.0) == 1.0e-4
-    assert one_cycle_lr(0, 10, 2.0) == 2.0 * 0.04
-    assert one_cycle_lr(30, 100, 0.5) == 0.5
+    assert one_cycle_lr(3, 10, peak(1.0)) == 1.0  # 30% of 10 steps
+    assert one_cycle_lr(10, 10, peak(1.0)) == 1.0e-4
+    assert one_cycle_lr(0, 10, peak(2.0)) == 2.0 * 0.04
+    assert one_cycle_lr(30, 100, peak(0.5)) == 0.5
+
+
+def test_one_cycle_reads_every_knob_from_the_config():
+    optim = OptimConfig(peak_lr=2.0, warmup_frac=0.5, final_factor=0.25, start_factor=0.5)
+    assert one_cycle_lr(0, 10, optim) == 1.0
+    assert one_cycle_lr(5, 10, optim) == 2.0
+    assert one_cycle_lr(10, 10, optim) == 0.5
 
 
 def test_one_cycle_monotone_up_then_down():
     total = 50
-    values = [one_cycle_lr(s, total, 1.0) for s in range(total + 1)]
+    values = [one_cycle_lr(s, total, peak(1.0)) for s in range(total + 1)]
     peak_step = int(round(0.3 * total))
     for s in range(peak_step):
         assert values[s] <= values[s + 1] + 1e-15
@@ -103,20 +115,20 @@ def test_one_cycle_monotone_up_then_down():
 def test_one_cycle_is_continuous_at_the_peak():
     total = 1000
     peak_step = 300
-    before = one_cycle_lr(peak_step - 1, total, 1.0)
-    after = one_cycle_lr(peak_step + 1, total, 1.0)
+    before = one_cycle_lr(peak_step - 1, total, peak(1.0))
+    after = one_cycle_lr(peak_step + 1, total, peak(1.0))
     assert abs(before - 1.0) < 1e-4 and abs(after - 1.0) < 1e-4
 
 
 def test_one_cycle_validation():
     with pytest.raises(InputError):
-        one_cycle_lr(-1, 10, 1.0)
+        one_cycle_lr(-1, 10, peak(1.0))
     with pytest.raises(InputError):
-        one_cycle_lr(11, 10, 1.0)
+        one_cycle_lr(11, 10, peak(1.0))
     with pytest.raises(InputError):
-        one_cycle_lr(0, 0, 1.0)
+        one_cycle_lr(0, 0, peak(1.0))
     with pytest.raises(InputError):
-        one_cycle_lr(0, 10, 0.0)
+        one_cycle_lr(0, 10, peak(0.0))
 
 
 # -- finite-difference checker ----------------------------------------------------
@@ -176,7 +188,7 @@ def _toy_total_loss(pt, cfg, batch, labels):
     w, m, v, z = mdn_forward_t(pt, h, cfg)
     nll = nll_loss_t(w, m, v, z)
     pcl = pcl_loss_t(w, m, v, labels, cfg.mixture_dim, ContrastiveLossConfig())
-    return total_loss_t(nll, pcl, 0.3)
+    return nll + pcl * 0.3
 
 
 def test_fifty_adam_steps_cut_identical_batch_loss():

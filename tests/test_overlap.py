@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcon.errors import InputError
-from mixcon.overlap import (
-    PositiveSet,
-    cosine,
-    jaccard,
-    mean_positive_set_size,
-    overlap_matrix,
-    positive_sets,
-    resolve_measure,
-)
+from mixcon.overlap import MEASURES, cosine, jaccard, overlap_matrix, positive_mask
 
 import reference
 
@@ -69,10 +61,14 @@ def test_jaccard_never_exceeds_cosine():
 
 
 def test_resolve_measure():
-    assert resolve_measure("jaccard") is jaccard
-    assert resolve_measure(cosine) is cosine
+    """Measure names resolve to their scalar functions; unknown names fail."""
+    assert MEASURES["jaccard"] is jaccard
+    assert MEASURES["cosine"] is cosine
+    labels = np.array([[1, 0], [1, 1]])
+    assert overlap_matrix(labels, "jaccard")[0, 1] == jaccard(labels[0], labels[1])
+    assert overlap_matrix(labels, "cosine")[0, 1] == cosine(labels[0], labels[1])
     with pytest.raises(InputError):
-        resolve_measure("hamming")
+        overlap_matrix(labels, "hamming")
 
 
 # -- overlap matrix ----------------------------------------------------------
@@ -89,10 +85,10 @@ def test_overlap_matrix_agrees_with_scalar_calls_bitwise():
                 assert d[i, j] == fn(labels[i], labels[j])
 
 
-def test_overlap_matrix_accepts_callable():
+def test_overlap_matrix_rejects_callable():
     labels = np.array([[1, 0], [1, 1]])
-    d = overlap_matrix(labels, lambda a, b: 0.25)
-    np.testing.assert_array_equal(d, np.full((2, 2), 0.25))
+    with pytest.raises(InputError):
+        overlap_matrix(labels, lambda a, b: 0.25)
 
 
 # -- positive sets ------------------------------------------------------------
@@ -100,34 +96,37 @@ def test_overlap_matrix_accepts_callable():
 
 def test_identical_labels_fill_every_set():
     labels = np.tile(np.array([1, 0, 1]), (6, 1))
-    sets = positive_sets(labels, alpha=0.6)
-    for s in sets:
-        assert len(s.members) == 5
-        assert all(w == 1.0 for _, w in s.members)
-        assert s.anchor not in s.indices()
+    d = overlap_matrix(labels)
+    mask = positive_mask(d, alpha=0.6)
+    for i, row in enumerate(mask):
+        assert row.sum() == 5
+        assert np.all(d[i, row] == 1.0)
+        assert not row[i]
 
 
 def test_disjoint_labels_empty_every_set():
     labels = np.eye(4, dtype=int)
-    for s in positive_sets(labels, alpha=0.5):
-        assert s.members == ()
+    assert not positive_mask(overlap_matrix(labels), alpha=0.5).any()
 
 
 def test_three_vector_fixture():
     labels = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
-    sets = positive_sets(labels, alpha=0.5, measure="jaccard")
-    assert sets[0].members == ((1, 0.5),)
-    assert sets[1].members == ((0, 0.5),)
-    assert sets[2].members == ()
+    d = overlap_matrix(labels, "jaccard")
+    mask = positive_mask(d, alpha=0.5)
+    expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool)
+    np.testing.assert_array_equal(mask, expected)
+    np.testing.assert_array_equal(d[mask], [0.5, 0.5])
 
 
 def test_positive_set_validation():
     with pytest.raises(InputError):
-        positive_sets(np.zeros((0, 3), dtype=int), alpha=0.5)
+        overlap_matrix(np.zeros((0, 3), dtype=int))
     with pytest.raises(InputError):
-        positive_sets(np.array([[1, 0]]), alpha=0.5)
+        positive_mask(overlap_matrix(np.array([[1, 0]])), alpha=0.5)
     with pytest.raises(InputError):
-        positive_sets(np.array([[1, 0], [0, 1]]), alpha=1.5)
+        positive_mask(overlap_matrix(np.array([[1, 0], [0, 1]])), alpha=1.5)
+    with pytest.raises(InputError):
+        positive_mask(np.zeros((2, 3)), alpha=0.5)
 
 
 def test_membership_weight_symmetry_is_bitwise():
@@ -135,10 +134,11 @@ def test_membership_weight_symmetry_is_bitwise():
     labels = (rng.random((10, 6)) < 0.5).astype(int)
     labels[labels.sum(axis=1) == 0, 2] = 1
     for measure in ("jaccard", "cosine"):
-        sets = positive_sets(labels, alpha=0.3, measure=measure)
-        weight = {(s.anchor, j): w for s in sets for j, w in s.members}
-        for (i, j), w in weight.items():
-            assert weight[(j, i)] == w
+        d = overlap_matrix(labels, measure)
+        mask = positive_mask(d, alpha=0.3)
+        np.testing.assert_array_equal(mask, mask.T)
+        weights = np.where(mask, d, 0.0)
+        assert weights.tobytes() == weights.T.copy().tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,25 +147,24 @@ def test_nesting_of_positive_sets(seed, c):
     rng = np.random.default_rng(seed)
     labels = (rng.random((8, c)) < 0.5).astype(int)
     labels[labels.sum(axis=1) == 0, 0] = 1
-    by_alpha = {a: positive_sets(labels, alpha=a) for a in (0.1, 0.5, 0.9)}
-    for i in range(8):
-        low = set(by_alpha[0.1][i].indices())
-        mid = set(by_alpha[0.5][i].indices())
-        high = set(by_alpha[0.9][i].indices())
-        assert high <= mid <= low
+    d = overlap_matrix(labels)
+    high, mid, low = (positive_mask(d, a) for a in (0.9, 0.5, 0.1))
+    assert not (high & ~mid).any()
+    assert not (mid & ~low).any()
 
 
 def test_exhaustive_nesting_for_small_label_spaces():
     for c in (2, 3, 4):
         labels = np.stack(all_nonzero_vectors(c))
-        by_alpha = {a: positive_sets(labels, alpha=a) for a in (0.1, 0.5, 0.9)}
-        for i in range(labels.shape[0]):
-            assert set(by_alpha[0.9][i].indices()) <= set(by_alpha[0.5][i].indices())
-            assert set(by_alpha[0.5][i].indices()) <= set(by_alpha[0.1][i].indices())
+        d = overlap_matrix(labels)
+        high, mid, low = (positive_mask(d, a) for a in (0.9, 0.5, 0.1))
+        assert not (high & ~mid).any()
+        assert not (mid & ~low).any()
 
 
 def test_mean_positive_set_size():
-    sets = [PositiveSet(0, ((1, 1.0),)), PositiveSet(1, ())]
-    assert mean_positive_set_size(sets) == 0.5
-    with pytest.raises(InputError):
-        mean_positive_set_size([])
+    """The sweep's mean |A(i)| is the mask's count over anchors."""
+    labels = np.array([[1, 0], [1, 0], [0, 1]])
+    mask = positive_mask(overlap_matrix(labels), alpha=0.5)
+    assert int(mask.sum()) / len(labels) == 2 / 3
+    assert [int(n) for n in mask.sum(axis=1)] == [1, 1, 0]

@@ -253,3 +253,39 @@ class TestCli:
             "--checkpoint", str(out / "contrastive.ckpt"), "--out", str(out),
         ]) == 2
         capsys.readouterr()
+
+    def test_non_numeric_sweep_value_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "sweep"
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0.3,abc", "--out", str(out),
+        ]) == 2
+        assert "abc" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_checkpoint_header_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 0
+        magic, header, data = (out / "contrastive.ckpt").read_bytes().split(b"\n", 2)
+        payload = json.loads(header)
+        del payload["tensors"]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(magic + b"\n" + json.dumps(payload).encode() + b"\n" + data)
+        assert main([
+            "train-classifier", "--config", str(cfg_path),
+            "--checkpoint", str(bad), "--out", str(out),
+        ]) == 2
+        assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_bad_seed_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
+        payload["seed"] = "abc"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "malformed experiment config" in capsys.readouterr().err
