@@ -23,12 +23,6 @@ from .data import (
     make_contrastive_batch,
 )
 from .errors import InputError, NumericError
-from .gmm import (
-    IsoGaussianMixture,
-    correlation_coefficient,
-    gaussian_cross_integral,
-    mixture_cross_integral,
-)
 from .losses import (
     AslConfig,
     ContrastiveLossConfig,
@@ -52,7 +46,6 @@ __all__ = [
     "DataConfig",
     "ExperimentConfig",
     "InputError",
-    "IsoGaussianMixture",
     "MetricsReport",
     "ModelConfig",
     "NumericError",
@@ -64,17 +57,14 @@ __all__ = [
     "augment",
     "average_precision",
     "config_hash",
-    "correlation_coefficient",
     "cosine",
     "evaluate",
-    "gaussian_cross_integral",
     "generate_synthetic",
     "init_params",
     "jaccard",
     "load_checkpoint",
     "load_config",
     "make_contrastive_batch",
-    "mixture_cross_integral",
     "nll_loss_t",
     "overlap_matrix",
     "pcl_loss_t",

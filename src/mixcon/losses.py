@@ -28,8 +28,8 @@ class ContrastiveLossConfig:
 
     tau: softmax temperature; alpha: overlap threshold for positive sets;
     lam: weight of the contrastive term in the total loss; measure: label
-    overlap backend; sim: mixture similarity backend (only the closed-form
-    correlation coefficient is differentiable, so only it is accepted).
+    overlap backend; sim: mixture similarity backend, of which the only one
+    is the closed-form correlation coefficient of ``similarity_matrix_t``.
     """
 
     tau: float = 0.2
@@ -50,7 +50,7 @@ class ContrastiveLossConfig:
         if self.sim not in SIM_BACKENDS:
             raise InputError(
                 f"unsupported similarity backend {self.sim!r}; "
-                f"Monte-Carlo similarities are diagnostics, not trainable"
+                f"only {SIM_BACKENDS[0]!r} is implemented"
             )
 
 
@@ -120,8 +120,13 @@ def similarity_matrix_t(
 ) -> Tensor:
     """(B, B) correlation-coefficient similarity between all mixture pairs.
 
-    Row i, column j holds cross(i,j) / sqrt(self(i) * self(j)).  The
-    diagonal is computed like any other entry and is masked by callers.
+    Row i, column j holds cross(i,j) / sqrt(self(i) * self(j)), where
+    cross(i,j) is the closed-form integral of the product of mixtures i
+    and j (the probability product kernel of Jebara, Kondor and Howard,
+    2004): for component means ``mu * ones(dim)`` and covariances
+    ``var * I``, each component pair contributes
+    ``w w' (2 pi (var + var')) ** (-dim/2) exp(-dim (mu - mu')^2 / (2 (var + var')))``.
+    The diagonal is computed like any other entry and is masked by callers.
     """
     b, c = _check_param_block(weights, means, variances)
     cross = _pairwise_cross(

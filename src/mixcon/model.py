@@ -96,10 +96,6 @@ def parameter_count(cfg: ModelConfig) -> int:
     return sum((fan_in + 1) * fan_out for _, fan_in, fan_out in _layer_sizes(cfg))
 
 
-def count_parameters(params: Params) -> int:
-    return sum(int(np.asarray(v).size) for v in params.values())
-
-
 def params_to_tensors(params: Params, trainable_prefixes: tuple[str, ...] = ("",)) -> dict[str, Tensor]:
     """Wrap parameter arrays as tape leaves.
 

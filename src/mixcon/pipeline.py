@@ -141,6 +141,9 @@ def _fit(
             lr = one_cycle_lr(step, total_steps, optim)
             adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
             logged.append([float(part.value) for part in parts])
+            # Free this step's graph now, not when the next forward rebinds
+            # the names, so a step never holds two graphs at once.
+            del parts, pt
             step += 1
         rows.append((epoch, *(math.fsum(c) / steps_per_epoch for c in zip(*logged)), lr))
     return rows
@@ -319,6 +322,8 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     if len(values) < 2:
         raise InputError("need at least two values to sweep")
     run_cfgs = [_sweep_config(cfg, param, v) for v in values]
+    # Every swept field lives in cfg.loss, so one split serves all values.
+    _, labels, train_idx, _ = dataset_split(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -328,7 +333,6 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
         try:
             stage_one = train_contrastive(run_cfg, sub)
             stage_two = train_classifier(run_cfg, stage_one.checkpoint, sub)
-            _, labels, train_idx, _ = dataset_split(run_cfg)
             overlap = overlap_matrix(labels[train_idx], run_cfg.loss.measure)
             positive = positive_mask(overlap, run_cfg.loss.alpha)
             r = stage_two.report

@@ -97,11 +97,6 @@ def leaf(value) -> Tensor:
     return Tensor(value, requires_grad=True, op="leaf")
 
 
-def detach(t: Tensor) -> Tensor:
-    """Copy of ``t``'s value with the tape cut."""
-    return Tensor(t.value, requires_grad=False, op="detach")
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 

@@ -8,8 +8,34 @@ bug would have to be made twice to go unnoticed.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Mixture(NamedTuple):
+    """One isotropic mixture: component k has mean ``means[k] * ones(dim)``
+    and covariance ``variances[k] * I``.  Deliberately unvalidated."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    dim: int
+
+
+def padded_blocks(mixtures):
+    """(B, C) weight, mean and variance arrays of a mixture list.
+
+    Mixtures with fewer than C components are padded with zero-weight
+    unit-variance components, which add exactly zero to every overlap.
+    """
+    c = max(len(g.weights) for g in mixtures)
+    blocks = np.zeros((3, len(mixtures), c))
+    blocks[2] = 1.0
+    for i, g in enumerate(mixtures):
+        k = len(g.weights)
+        blocks[:, i, :k] = g.weights, g.means, g.variances
+    return blocks[0], blocks[1], blocks[2]
 
 
 def naive_mixture_density(weights, means, variances, dim, z) -> float:

@@ -1,12 +1,14 @@
 """Acceptance gate: ten criteria, one printed PASS/FAIL line each.
 
-Numeric criteria check the closed-form mixture algebra against
-quadrature, the gradients against finite differences, the contrastive
-loss against analytic fixtures and a brute-force transcription, the
-metrics against a naive reference, and the asymmetric loss against its
-degenerate forms.  The directional criteria run the full two-stage
-pipeline on the synthetic benchmark with the contrastive term on and
-off across paired seeds, then replay one seed for bit-level determinism.
+Numeric criteria check the similarity kernel training runs,
+``losses.similarity_matrix_t``, against quadrature and against the
+equal-variance identity, the gradients against finite differences, the
+contrastive loss against analytic fixtures and a brute-force
+transcription, the metrics against a naive reference, and the asymmetric
+loss against its degenerate forms.  The directional criteria run the
+full two-stage pipeline on the synthetic benchmark with the contrastive
+term on and off across paired seeds, then replay one seed for bit-level
+determinism.
 """
 
 import dataclasses
@@ -22,13 +24,14 @@ import acceptance_log
 from mixcon.config import DataConfig, ExperimentConfig, OptimConfig
 from mixcon.data import generate_synthetic
 from mixcon.errors import InputError
-from mixcon.gmm import (
-    IsoGaussianMixture,
-    correlation_coefficient,
-    density,
-    mixture_cross_integral,
+from mixcon.losses import (
+    AslConfig,
+    ContrastiveLossConfig,
+    asl_loss_t,
+    nll_loss_t,
+    pcl_loss_t,
+    similarity_matrix_t,
 )
-from mixcon.losses import AslConfig, ContrastiveLossConfig, asl_loss_t, nll_loss_t, pcl_loss_t
 from mixcon.metrics import PredictionSet, average_precision, pr_f1_report
 from mixcon.model import (
     ModelConfig,
@@ -43,7 +46,14 @@ from mixcon.overlap import overlap_matrix, positive_mask
 from mixcon.pipeline import train_classifier, train_contrastive
 from mixcon import tape
 
-from reference import naive_bce, naive_pcl, naive_report
+from reference import (
+    Mixture,
+    naive_bce,
+    naive_mixture_density,
+    naive_pcl,
+    naive_report,
+    padded_blocks,
+)
 
 record = acceptance_log.record
 
@@ -52,7 +62,7 @@ def random_mixture(rng, max_components=5, dim=1, components=None):
     c = components if components is not None else int(rng.integers(1, max_components + 1))
     w = rng.random(c) + 0.05
     w /= w.sum()
-    return IsoGaussianMixture(
+    return Mixture(
         weights=w,
         means=rng.uniform(-5.0, 5.0, c),
         variances=rng.uniform(1.0, 4.0, c),
@@ -60,29 +70,46 @@ def random_mixture(rng, max_components=5, dim=1, components=None):
     )
 
 
+def _stacked(mixtures):
+    """(weights, means, variances) of a mixture batch as (B, C) constants,
+    the smaller mixtures padded with zero-weight components."""
+    return [tape.constant(block) for block in padded_blocks(mixtures)]
+
+
+def _similarity(p, q):
+    """The training kernel's similarity of one pair (a B=2 batch)."""
+    return float(similarity_matrix_t(*_stacked([p, q]), p.dim).value[0, 1])
+
+
+def _quad_overlap(p, q):
+    """int p(x) q(x) dx over the line, for 1-d mixtures."""
+    value, _ = quad(
+        lambda x: naive_mixture_density(p.weights, p.means, p.variances, 1, [x])
+        * naive_mixture_density(q.weights, q.means, q.variances, 1, [x]),
+        -np.inf,
+        np.inf,
+        limit=200,
+    )
+    return value
+
+
 def test_criterion_1_cross_integral_vs_quadrature():
     rng = np.random.default_rng(11)
     start = time.monotonic()
     worst = 0.0
-    corr_ok = True
+    bounds_ok = True
     for _ in range(200):
         p = random_mixture(rng)
         q = random_mixture(rng)
-        closed = mixture_cross_integral(p, q)
-        numeric, _ = quad(
-            lambda x: density(p, np.array([x])) * density(q, np.array([x])),
-            -np.inf,
-            np.inf,
-            limit=200,
-        )
+        closed = _similarity(p, q)
+        numeric = _quad_overlap(p, q) / math.sqrt(_quad_overlap(p, p) * _quad_overlap(q, q))
         worst = max(worst, abs(closed - numeric) / abs(numeric))
-        corr = correlation_coefficient(p, q)
-        corr_ok = corr_ok and 0.0 < corr <= 1.0 + 1e-12
+        bounds_ok = bounds_ok and 0.0 < closed <= 1.0 + 1e-12
     elapsed = time.monotonic() - start
     record(
         1,
-        "closed-form cross integral matches quadrature on 200 random pairs",
-        worst < 0.01 and corr_ok and elapsed < 30.0,
+        "closed-form similarity matches the quadrature correlation on 200 random pairs",
+        worst < 0.01 and bounds_ok and elapsed < 30.0,
         f"worst rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
@@ -93,10 +120,10 @@ def test_criterion_2_equal_variance_identity():
         for mu_a in (-2.0, -0.5, 0.0, 1.0, 3.0):
             for mu_b in (-1.5, 0.0, 0.25, 2.0):
                 for var in (1.0, 1.7, 2.5, 4.0):
-                    a = IsoGaussianMixture([1.0], [mu_a], [var], dim)
-                    b = IsoGaussianMixture([1.0], [mu_b], [var], dim)
+                    a = Mixture([1.0], [mu_a], [var], dim)
+                    b = Mixture([1.0], [mu_b], [var], dim)
                     expected = math.exp(-dim * (mu_a - mu_b) ** 2 / (4.0 * var))
-                    worst = max(worst, abs(correlation_coefficient(a, b) - expected))
+                    worst = max(worst, abs(_similarity(a, b) - expected))
     record(
         2,
         "equal-variance correlation equals exp(-n (d mu)^2 / (4 sigma^2))",
@@ -152,16 +179,8 @@ def test_criterion_3_gradient_suite():
     )
 
 
-def _stacked(mixtures):
-    """(weights, means, variances) of a mixture batch as (B, C) constants."""
-    return [
-        tape.constant(np.stack([getattr(g, field) for g in mixtures]))
-        for field in ("weights", "means", "variances")
-    ]
-
-
 def test_criterion_4_pcl_closed_form_fixtures():
-    shared = IsoGaussianMixture([0.6, 0.4], [0.3, -0.8], [1.2, 2.0], 3)
+    shared = Mixture([0.6, 0.4], [0.3, -0.8], [1.2, 2.0], 3)
     identical = [shared] * 4
     labels_same = np.array([[1, 0, 1]] * 4)
     cfg_same = ContrastiveLossConfig(tau=0.2)

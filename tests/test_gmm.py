@@ -1,4 +1,6 @@
-"""Mixture density and closed-form overlap checks against quadrature and MC oracles."""
+"""The training kernels on single mixtures: the log density inside
+``nll_loss_t`` and the closed-form similarity ``similarity_matrix_t``,
+checked against quadrature and direct-summation oracles."""
 
 import math
 
@@ -8,29 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mixcon.errors import InputError, NumericError
-from mixcon.gmm import (
-    IsoGaussianMixture,
-    bhattacharyya_coefficient_mc,
-    correlation_coefficient,
-    density,
-    gaussian_cross_integral,
-    log_density,
-    mc_cross_integral,
-    mixture_cross_integral,
-)
+from mixcon import tape
+from mixcon.losses import nll_loss_t, similarity_matrix_t
 
 import reference
+from reference import Mixture
 
 
 def single(mu=0.0, var=1.0, dim=1):
-    return IsoGaussianMixture(np.array([1.0]), np.array([mu]), np.array([var]), dim)
+    return Mixture(np.array([1.0]), np.array([mu]), np.array([var]), dim)
 
 
 def random_mixture(rng, dim=None, max_components=5):
     c = int(rng.integers(1, max_components + 1))
     w = rng.uniform(0.2, 1.0, size=c)
-    return IsoGaussianMixture(
+    return Mixture(
         w / w.sum(),
         rng.uniform(-5.0, 5.0, size=c),
         rng.uniform(1.0, 4.0, size=c),
@@ -38,52 +32,48 @@ def random_mixture(rng, dim=None, max_components=5):
     )
 
 
-# -- construction / validation -------------------------------------------
+def nll(gmm, points):
+    """nll_loss_t of ``gmm`` at every row of ``points`` (one row per batch entry)."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    rows = len(points)
+    blocks = (np.tile(a, (rows, 1)) for a in (gmm.weights, gmm.means, gmm.variances))
+    return float(nll_loss_t(*map(tape.constant, blocks), tape.constant(points)).value)
 
 
-def test_weights_must_be_normalized_and_nonnegative():
-    with pytest.raises(InputError):
-        IsoGaussianMixture(np.array([0.6, 0.6]), np.zeros(2), np.ones(2), 1)
-    with pytest.raises(InputError):
-        IsoGaussianMixture(np.array([1.5, -0.5]), np.zeros(2), np.ones(2), 1)
+def similarity(p, q):
+    """(2, 2) similarity matrix of the pair, the smaller mixture zero-padded."""
+    blocks = reference.padded_blocks([p, q])
+    return similarity_matrix_t(*map(tape.constant, blocks), p.dim).value
 
 
-def test_variance_floor_enforced():
-    with pytest.raises(InputError):
-        IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([0.5]), 1)
+def quadrature_correlation(p, q, lo=-np.inf, hi=np.inf):
+    """int pq / sqrt(int pp * int qq) for 1-d mixtures by adaptive quadrature."""
+
+    def overlap(a, b):
+        value, _ = integrate.quad(
+            lambda t: reference.naive_mixture_density(a.weights, a.means, a.variances, 1, [t])
+            * reference.naive_mixture_density(b.weights, b.means, b.variances, 1, [t]),
+            lo,
+            hi,
+            limit=200,
+        )
+        return value
+
+    return overlap(p, q) / math.sqrt(overlap(p, p) * overlap(q, q))
 
 
-def test_nonfinite_parameters_are_numeric_errors():
-    with pytest.raises(NumericError):
-        IsoGaussianMixture(np.array([1.0]), np.array([np.nan]), np.array([1.0]), 1)
-    with pytest.raises(NumericError):
-        IsoGaussianMixture(np.array([1.0]), np.array([0.0]), np.array([np.inf]), 1)
-
-
-def test_shape_and_dim_validation():
-    with pytest.raises(InputError):
-        IsoGaussianMixture(np.array([1.0]), np.zeros(2), np.ones(1), 1)
-    with pytest.raises(InputError):
-        IsoGaussianMixture(np.array([1.0]), np.zeros(1), np.ones(1), 0)
-
-
-# -- density / log_density -------------------------------------------------
+# -- log density (nll_loss_t) ----------------------------------------------------
 
 
 def test_standard_normal_density_at_mean():
-    # Single component, mu=0, var=1, n=2: the value at the mean is 1/(2 pi).
-    assert density(single(dim=2), np.zeros(2)) == pytest.approx(
-        1.0 / (2.0 * math.pi), rel=1e-14
-    )
-    assert log_density(single(dim=2), np.zeros(2)) == pytest.approx(
-        -math.log(2.0 * math.pi), rel=1e-14
-    )
+    # Single component, mu=0, var=1, n=2: the density at the mean is 1/(2 pi).
+    assert nll(single(dim=2), np.zeros(2)) == pytest.approx(math.log(2.0 * math.pi), rel=1e-14)
 
 
 def test_weight_convexity_of_identical_components():
-    split = IsoGaussianMixture(np.array([0.5, 0.5]), np.zeros(2), np.ones(2), 2)
+    split = Mixture(np.array([0.5, 0.5]), np.zeros(2), np.ones(2), 2)
     z = np.array([0.3, -0.7])
-    assert density(split, z) == pytest.approx(density(single(dim=2), z), rel=1e-14)
+    assert nll(split, z) == pytest.approx(nll(single(dim=2), z), rel=1e-14)
 
 
 def test_density_matches_direct_summation_reference():
@@ -94,103 +84,68 @@ def test_density_matches_direct_summation_reference():
         expected = reference.naive_mixture_density(
             gmm.weights, gmm.means, gmm.variances, gmm.dim, z
         )
-        assert density(gmm, z) == pytest.approx(expected, rel=1e-12)
-
-
-def test_log_density_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        gmm = random_mixture(rng)
-        z = rng.uniform(-8, 8, size=gmm.dim)
-        assert math.exp(log_density(gmm, z)) == pytest.approx(density(gmm, z), rel=1e-9)
+        assert math.exp(-nll(gmm, z)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_density_finite_in_far_tail():
-    gmm = single(mu=0.0, var=1.0, dim=1)
-    out = log_density(gmm, np.array([40.0]))
-    assert math.isfinite(out) and out < -700.0
+    # The density itself underflows at z = 40; its log-sum-exp form does not.
+    out = nll(single(mu=0.0, var=1.0, dim=1), np.array([40.0]))
+    assert math.isfinite(out) and out > 700.0
 
 
 def test_density_positive_and_batched_evaluation_agrees():
     rng = np.random.default_rng(11)
     gmm = random_mixture(rng, dim=3)
     pts = rng.uniform(-6, 6, size=(10, 3))
-    batched = density(gmm, pts)
-    assert np.all(batched > 0)
-    for i in range(10):
-        assert batched[i] == density(gmm, pts[i])
+    one_by_one = [nll(gmm, p) for p in pts]
+    assert all(math.exp(-value) > 0.0 for value in one_by_one)
+    assert nll(gmm, pts) == pytest.approx(math.fsum(one_by_one), rel=1e-12)
 
 
-def test_density_input_validation():
-    gmm = single(dim=2)
-    with pytest.raises(InputError):
-        density(gmm, np.zeros(3))
-    with pytest.raises(NumericError):
-        density(gmm, np.array([np.nan, 0.0]))
+def test_density_normalizes_under_quadrature():
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        gmm = random_mixture(rng, dim=1, max_components=3)
+        mass, _ = integrate.quad(
+            lambda t: math.exp(-nll(gmm, [t])), -np.inf, np.inf, limit=200
+        )
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_zero_weight_component_is_ignored():
-    gmm = IsoGaussianMixture(
-        np.array([1.0, 0.0]), np.array([0.0, 50.0]), np.array([1.0, 1.0]), 1
-    )
-    z = np.array([0.5])
-    assert density(gmm, z) == pytest.approx(density(single(), z), rel=1e-14)
-    assert math.isfinite(log_density(gmm, z))
+# -- closed-form similarity (similarity_matrix_t) --------------------------------
 
 
-# -- gaussian_cross_integral ----------------------------------------------
+def test_identical_mixtures_have_unit_correlation():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        p = random_mixture(rng)
+        assert similarity(p, p) == pytest.approx(np.ones((2, 2)), abs=1e-12)
 
 
-def test_gaussian_cross_integral_standard_cases():
-    # Two standard normals, n=2: (2 pi * 2)^(-1) = 1/(4 pi).
-    assert gaussian_cross_integral(0, 1, 0, 1, 2) == pytest.approx(
-        1.0 / (4.0 * math.pi), rel=1e-14
-    )
-    # Means 0 and 2, unit variances, n=1: (4 pi)^(-1/2) * e^(-1).
-    assert gaussian_cross_integral(0, 1, 2, 1, 1) == pytest.approx(
-        math.exp(-1.0) / math.sqrt(4.0 * math.pi), rel=1e-14
+def test_equal_variance_identity_example():
+    # Single Gaussians, equal variance 1, means 0 and 2, n=1.
+    assert similarity(single(0.0), single(2.0))[0, 1] == pytest.approx(
+        math.exp(-1.0), rel=1e-12
     )
 
 
-def test_gaussian_cross_integral_matches_quadrature():
-    val, err = integrate.quad(
-        lambda t: reference.naive_mixture_density([1.0], [0.0], [1.0], 1, [t])
-        * reference.naive_mixture_density([1.0], [2.0], [1.0], 1, [t]),
-        -np.inf,
-        np.inf,
+def test_correlation_decays_with_separation():
+    far = similarity(single(0.0, 1.0, 4), single(10.0, 1.0, 4))[0, 1]
+    assert 0.0 <= far < 1e-40
+
+
+def test_component_duplication_leaves_integral_unchanged():
+    # Splitting every component in two halves changes no overlap integral.
+    rng = np.random.default_rng(9)
+    p = random_mixture(rng, dim=2, max_components=3)
+    q = random_mixture(rng, dim=2, max_components=3)
+    doubled = Mixture(
+        np.concatenate([p.weights / 2, p.weights / 2]),
+        np.concatenate([p.means, p.means]),
+        np.concatenate([p.variances, p.variances]),
+        p.dim,
     )
-    assert gaussian_cross_integral(0, 1, 2, 1, 1) == pytest.approx(val, rel=1e-8)
-    val2d, _ = integrate.dblquad(
-        lambda y, x: reference.naive_mixture_density([1.0], [0.0], [1.0], 2, [x, y])
-        * reference.naive_mixture_density([1.0], [0.0], [1.0], 2, [x, y]),
-        -8.0,
-        8.0,
-        -8.0,
-        8.0,
-    )
-    assert gaussian_cross_integral(0, 1, 0, 1, 2) == pytest.approx(val2d, rel=1e-8)
-
-
-def test_gaussian_cross_integral_symmetry_and_errors():
-    a = gaussian_cross_integral(0.3, 1.2, -1.1, 3.4, 3)
-    b = gaussian_cross_integral(-1.1, 3.4, 0.3, 1.2, 3)
-    assert a == b
-    with pytest.raises(InputError):
-        gaussian_cross_integral(0, 0.0, 0, 1, 1)
-    with pytest.raises(InputError):
-        gaussian_cross_integral(0, 1, 0, 1, 0)
-    with pytest.raises(NumericError):
-        gaussian_cross_integral(np.inf, 1, 0, 1, 1)
-
-
-# -- mixture_cross_integral -------------------------------------------------
-
-
-def test_self_integral_of_standard_normal():
-    p = single()
-    assert mixture_cross_integral(p, p) == pytest.approx(
-        1.0 / math.sqrt(4.0 * math.pi), rel=1e-14
-    )
+    assert similarity(doubled, q)[0, 1] == pytest.approx(similarity(p, q)[0, 1], rel=1e-12)
 
 
 def test_mixture_cross_integral_matches_double_loop_reference():
@@ -198,59 +153,9 @@ def test_mixture_cross_integral_matches_double_loop_reference():
     for _ in range(20):
         dim = int(rng.integers(1, 5))
         p, q = random_mixture(rng, dim=dim), random_mixture(rng, dim=dim)
-        assert mixture_cross_integral(p, q) == pytest.approx(
-            reference.naive_mixture_cross(p, q), rel=1e-12
+        assert similarity(p, q)[0, 1] == pytest.approx(
+            reference.naive_correlation(p, q), rel=1e-12
         )
-
-
-def test_component_duplication_leaves_integral_unchanged():
-    rng = np.random.default_rng(9)
-    p = random_mixture(rng, dim=2, max_components=3)
-    q = random_mixture(rng, dim=2, max_components=3)
-    doubled = IsoGaussianMixture(
-        np.concatenate([p.weights / 2, p.weights / 2]),
-        np.concatenate([p.means, p.means]),
-        np.concatenate([p.variances, p.variances]),
-        p.dim,
-    )
-    assert mixture_cross_integral(doubled, q) == pytest.approx(
-        mixture_cross_integral(p, q), rel=1e-12
-    )
-
-
-def test_cross_integral_dimension_mismatch():
-    with pytest.raises(InputError):
-        mixture_cross_integral(single(dim=1), single(dim=2))
-
-
-def test_cross_integral_within_three_standard_errors_of_mc():
-    rng = np.random.default_rng(17)
-    p, q = random_mixture(rng, dim=2), random_mixture(rng, dim=2)
-    exact = mixture_cross_integral(p, q)
-    estimate, se = mc_cross_integral(p, q, samples=10**6, seed=123)
-    assert abs(estimate - exact) <= 3.0 * se
-
-
-# -- correlation_coefficient ------------------------------------------------
-
-
-def test_identical_mixtures_have_unit_correlation():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        p = random_mixture(rng)
-        assert correlation_coefficient(p, p) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_equal_variance_identity_example():
-    # Single Gaussians, equal variance 1, means 0 and 2, n=1.
-    assert correlation_coefficient(single(0.0), single(2.0)) == pytest.approx(
-        math.exp(-1.0), rel=1e-12
-    )
-
-
-def test_correlation_decays_with_separation():
-    far = correlation_coefficient(single(0.0, 1.0, 4), single(10.0, 1.0, 4))
-    assert 0.0 <= far < 1e-40
 
 
 def test_correlation_matches_quadrature_normalization():
@@ -258,83 +163,27 @@ def test_correlation_matches_quadrature_normalization():
     p, q = random_mixture(rng, dim=1, max_components=3), random_mixture(
         rng, dim=1, max_components=3
     )
-    assert correlation_coefficient(p, q) == pytest.approx(
-        reference.naive_correlation(p, q), rel=1e-12
-    )
+    assert similarity(p, q)[0, 1] == pytest.approx(reference.naive_correlation(p, q), rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_correlation_bounds_and_exact_symmetry(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 9))
-    p, q = random_mixture(rng, dim=dim), random_mixture(rng, dim=dim)
-    forward = mixture_cross_integral(p, q)
-    assert forward == mixture_cross_integral(q, p)
-    corr = correlation_coefficient(p, q)
-    assert 0.0 < corr <= 1.0 + 1e-12
-    assert corr == pytest.approx(correlation_coefficient(q, p), abs=0)
+def test_gaussian_cross_integral_matches_quadrature():
+    # Unequal variances, so neither the variance nor the dimension factor
+    # cancels; n=2 integrates over the plane.
+    p, q = single(0.0, 1.0, 1), single(2.0, 1.5, 1)
+    assert similarity(p, q)[0, 1] == pytest.approx(quadrature_correlation(p, q), rel=1e-8)
 
+    def overlap_2d(a, b):
+        def density(g, x, y):
+            return reference.naive_mixture_density(g.weights, g.means, g.variances, 2, [x, y])
 
-# -- Monte Carlo oracles ------------------------------------------------------
-
-
-def test_mc_cross_integral_close_to_closed_form():
-    p = single()
-    estimate, se = mc_cross_integral(p, p, samples=10**6, seed=7)
-    assert abs(estimate - 1.0 / math.sqrt(4.0 * math.pi)) <= 3.0 * se
-
-
-def test_mc_cross_integral_single_sample_sentinel():
-    p = single()
-    estimate, se = mc_cross_integral(p, p, samples=1, seed=99)
-    assert math.isfinite(estimate) and se == math.inf
-
-
-def test_mc_estimators_are_deterministic():
-    rng = np.random.default_rng(55)
-    p, q = random_mixture(rng, dim=2), random_mixture(rng, dim=2)
-    assert mc_cross_integral(p, q, 5000, seed=4) == mc_cross_integral(p, q, 5000, seed=4)
-    assert bhattacharyya_coefficient_mc(p, q, 5000, seed=4) == bhattacharyya_coefficient_mc(
-        p, q, 5000, seed=4
-    )
-
-
-def test_bhattacharyya_identical_and_separated_gaussians():
-    p = single()
-    est, se = bhattacharyya_coefficient_mc(p, p, samples=10**5, seed=31)
-    assert abs(est - 1.0) <= max(3.0 * se, 1e-12)
-    q = single(mu=2.0)
-    est2, se2 = bhattacharyya_coefficient_mc(p, q, samples=10**5, seed=31)
-    assert abs(est2 - math.exp(-4.0 / 8.0)) <= 3.0 * se2
-
-
-def test_mc_validation_errors():
-    p = single()
-    with pytest.raises(InputError):
-        mc_cross_integral(p, p, samples=0, seed=1)
-    with pytest.raises(InputError):
-        bhattacharyya_coefficient_mc(p, single(dim=2), samples=10, seed=1)
-
-
-def test_density_normalizes_under_importance_sampling():
-    # Estimate the total mass of the density with a wide Gaussian proposal.
-    rng_outer = np.random.default_rng(61)
-    for dim in (1, 2):
-        gmm = random_mixture(rng_outer, dim=dim, max_components=3)
-        rng = np.random.default_rng(1000 + dim)
-        spread = 8.0
-        center = float(gmm.means.mean())
-        pts = center + spread * rng.standard_normal((10**6, dim))
-        log_proposal = (
-            -0.5 * dim * math.log(2.0 * math.pi * spread**2)
-            - np.sum((pts - center) ** 2, axis=1) / (2.0 * spread**2)
+        value, _ = integrate.dblquad(
+            lambda y, x: density(a, x, y) * density(b, x, y), -10.0, 10.0, -10.0, 10.0
         )
-        weights = np.exp(log_density(gmm, pts) - log_proposal)
-        assert 0.98 <= weights.mean() <= 1.02
+        return value
 
-
-# -- quadrature agreement (acceptance criterion exercised at small scale) -----
+    p2, q2 = single(0.0, 1.0, 2), single(1.0, 1.5, 2)
+    expected = overlap_2d(p2, q2) / math.sqrt(overlap_2d(p2, p2) * overlap_2d(q2, q2))
+    assert similarity(p2, q2)[0, 1] == pytest.approx(expected, rel=1e-8)
 
 
 def test_cross_integral_matches_adaptive_quadrature_sample():
@@ -342,12 +191,15 @@ def test_cross_integral_matches_adaptive_quadrature_sample():
     for _ in range(20):
         p = random_mixture(rng, dim=1)
         q = random_mixture(rng, dim=1)
+        oracle = quadrature_correlation(p, q, -30.0, 30.0)
+        assert abs(similarity(p, q)[0, 1] - oracle) / oracle < 0.01
 
-        def product(t):
-            return reference.naive_mixture_density(
-                p.weights, p.means, p.variances, 1, [t]
-            ) * reference.naive_mixture_density(q.weights, q.means, q.variances, 1, [t])
 
-        oracle, _ = integrate.quad(product, -30.0, 30.0, limit=200)
-        closed = mixture_cross_integral(p, q)
-        assert abs(closed - oracle) / abs(oracle) < 0.01
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_correlation_bounds_and_symmetry(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    sim = similarity(random_mixture(rng, dim=dim), random_mixture(rng, dim=dim))
+    assert 0.0 < sim[0, 1] <= 1.0 + 1e-12
+    assert sim[1, 0] == pytest.approx(sim[0, 1], rel=1e-14, abs=0)

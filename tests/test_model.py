@@ -8,12 +8,10 @@ import pytest
 
 from mixcon import tape
 from mixcon.errors import InputError, NumericError
-from mixcon.gmm import IsoGaussianMixture
 from mixcon.model import (
     Checkpoint,
     ModelConfig,
     classifier_forward,
-    count_parameters,
     encoder_bytes,
     encoder_forward,
     init_params,
@@ -69,7 +67,7 @@ def test_parameter_count_matches_analytic_formula():
         + (5 + 1) * 4        # classifier
     )
     assert parameter_count(CFG) == expected
-    assert count_parameters(params) == expected
+    assert sum(value.size for value in params.values()) == expected
 
 
 def test_encoder_output_is_unit_norm_and_deterministic():
@@ -125,10 +123,8 @@ def test_mdn_outputs_valid_mixture():
     w, m, v, targets = (t.value for t in mdn_forward_t(pt, tape.constant(h), CFG))
     assert targets.shape == (5, 3)
     assert w.shape == m.shape == v.shape == (5, 4)
-    for i in range(5):
-        gmm = IsoGaussianMixture(w[i], m[i], v[i], CFG.mixture_dim)
-        assert gmm.num_components == 4 and gmm.dim == 3
-        assert np.all(gmm.variances > 1.0)
+    assert np.all(w > 0.0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.all(np.isfinite(m)) and np.all(v > 1.0)
     single_w, _, _, single_z = (t.value for t in mdn_forward_t(pt, tape.constant(h[:1]), CFG))
     np.testing.assert_allclose(single_z[0], targets[0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(single_w[0], w[0], rtol=1e-12)

@@ -5,12 +5,14 @@ determinism experiments live in the acceptance suite.
 """
 
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixcon import pipeline, tape
 from mixcon.cli import main
 from mixcon.config import (
     DataConfig,
@@ -96,6 +98,20 @@ class TestPipeline:
         assert all(np.array_equal(before[k], after[k]) for k in mdn_keys)
         cls_keys = [k for k in before if k.startswith("cls.")]
         assert any(not np.array_equal(before[k], after[k]) for k in cls_keys)
+
+    def test_no_tape_tensor_outlives_its_step(self, tmp_path, monkeypatch):
+        # At each batch build the previous step's graph must already be gone.
+        live = []
+        build = pipeline.make_contrastive_batch
+
+        def counting_build(*args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, tape.Tensor) for o in gc.get_objects()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "make_contrastive_batch", counting_build)
+        train_contrastive(tiny_config(), tmp_path)
+        assert len(live) == 6 and live == [live[0]] * 6
 
     def test_overfit_toy_run_ranks_training_split_well(self, tmp_path):
         cfg = ExperimentConfig(
