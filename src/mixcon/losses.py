@@ -102,43 +102,80 @@ def nll_loss_t(weights: Tensor, means: Tensor, variances: Tensor, targets: Tenso
     return -tape.tsum(log_post)
 
 
-def _pairwise_cross(w_a, m_a, v_a, w_b, m_b, v_b, dim, shape_a, shape_b, reduce_axes):
-    """Closed-form sum_k sum_l w w' integral(N N') with tensors, any broadcast layout."""
-    va = tape.reshape(v_a, shape_a)
-    vb = tape.reshape(v_b, shape_b)
-    total_var = va + vb
-    delta = tape.reshape(m_a, shape_a) - tape.reshape(m_b, shape_b)
-    pair = tape.pow_const(total_var * (2.0 * np.pi), -0.5 * dim) * tape.exp(
-        (delta * delta) * (-0.5 * dim) / total_var
-    )
-    w_outer = tape.reshape(w_a, shape_a) * tape.reshape(w_b, shape_b)
-    return tape.tsum(w_outer * pair, axis=reduce_axes)
-
-
 def similarity_matrix_t(
     weights: Tensor, means: Tensor, variances: Tensor, dim: int
 ) -> Tensor:
     """(B, B) correlation-coefficient similarity between all mixture pairs.
 
-    Row i, column j holds cross(i,j) / sqrt(self(i) * self(j)), where
-    cross(i,j) is the closed-form integral of the product of mixtures i
-    and j (the probability product kernel of Jebara, Kondor and Howard,
-    2004): for component means ``mu * ones(dim)`` and covariances
-    ``var * I``, each component pair contributes
-    ``w w' (2 pi (var + var')) ** (-dim/2) exp(-dim (mu - mu')^2 / (2 (var + var')))``.
-    The diagonal is computed like any other entry and is masked by callers.
+    One tape op with a hand-derived VJP.  Mixture i has weights w_ik,
+    component means ``m_ik * ones(dim)`` and covariances ``v_ik * I``.
+    With s = v_ik + v_jl and delta = m_ik - m_jl, the pair term is the
+    closed-form integral of the product of two components,
+    ``P_ijkl = (2 pi s) ** (-dim/2) exp(-dim delta^2 / (2 s))``, and the
+    probability product kernel of Jebara, Kondor and Howard (2004) is
+    ``X_ij = sum_kl w_ik w_jl P_ijkl``.  With the self-overlap d = diag(X),
+    the result is ``S = X / sqrt(d d^T)``.  The diagonal is computed like
+    any other entry and is masked by callers.
+
+    VJP, for the output gradient G:
+    ``gX = G / sqrt(d d^T)``, plus
+    ``-1/(2 d_i) (sum_j G_ij S_ij + sum_j G_ji S_ji)`` on the diagonal;
+    ``Gs = gX + gX^T``, since P_ijkl = P_jilk; and with
+    ``K = w_ik w_jl P_ijkl``:
+    ``gw_ik = sum_jl Gs_ij w_jl P_ijkl``,
+    ``gm_ik = -dim sum_jl Gs_ij K delta / s``,
+    ``gv_ik = (dim/2) sum_jl Gs_ij K (delta^2 / s - 1) / s``.
+    A parameter block that needs no gradient gets None.  Both passes
+    visit each pair i <= j once: X is symmetric, and the VJP credits each
+    pair's terms to both of its ends.
     """
-    b, c = _check_param_block(weights, means, variances)
-    cross = _pairwise_cross(
-        weights, means, variances, weights, means, variances,
-        dim, (b, 1, c, 1), (1, b, 1, c), (2, 3),
-    )
-    self_overlap = _pairwise_cross(
-        weights, means, variances, weights, means, variances,
-        dim, (b, c, 1), (b, 1, c), (1, 2),
-    )
-    denom = tape.sqrt(tape.reshape(self_overlap, (b, 1)) * tape.reshape(self_overlap, (1, b)))
-    return cross / denom
+    b, _ = _check_param_block(weights, means, variances)
+    w, m, v = weights.value, means.value, variances.value
+    # X is symmetric, so each pair p = (i, j) with i <= j is computed once.
+    # The (P, C, C) blocks are indexed [p, k, l]: component k of mixture i
+    # against component l of mixture j.
+    ii, jj = np.triu_indices(b)
+    s = v[ii, :, None] + v[jj, None, :]
+    q = (m[ii, :, None] - m[jj, None, :]) / s
+    pair = np.exp((np.log(s * (2.0 * np.pi)) + q * q * s) * (-0.5 * dim))
+    x = np.empty((b, b))
+    x[ii, jj] = x[jj, ii] = np.einsum("pk,pl,pkl->p", w[ii], w[jj], pair)
+    d = x.diagonal()
+    root = np.sqrt(np.outer(d, d))
+    sim = x / root
+
+    def vjp(g):
+        g_sim = g * sim
+        gx = g / root
+        gx[np.diag_indices(b)] -= 0.5 * (g_sim.sum(axis=1) + g_sim.sum(axis=0)) / d
+        # Gs per pair.  A diagonal pair is one term of the full sum but is
+        # credited to both of its ends below, so it is halved.
+        h = (gx + gx.T)[ii, jj]
+        h[ii == jj] *= 0.5
+        hw_i, hw_j = h[:, None] * w[ii], h[:, None] * w[jj]
+        # Pairs come in row-major order, so those of one i are contiguous;
+        # by_j makes those of one j contiguous.
+        by_j = np.argsort(jj, kind="stable")
+        starts_i = np.searchsorted(ii, np.arange(b))
+        starts_j = np.searchsorted(jj[by_j], np.arange(b))
+
+        def both_ends(factor, parity):
+            """(B, C) sum_jl Gs_ij w_jl factor_ijkl over the full grid, from the
+            pairs' i ends and, with factor_jilk = parity * factor_ijkl, j ends."""
+            at_i = np.einsum("pl,pkl->pk", hw_j, factor)
+            at_j = np.einsum("pk,pkl->pl", hw_i, factor)
+            return np.add.reduceat(at_i, starts_i) + parity * np.add.reduceat(
+                at_j[by_j], starts_j
+            )
+
+        gw = both_ends(pair, 1.0) if weights.requires_grad else None
+        gm = both_ends(pair * q, -1.0) * w * -dim if means.requires_grad else None
+        gv = None
+        if variances.requires_grad:
+            gv = both_ends(pair * (q * q - 1.0 / s), 1.0) * w * (0.5 * dim)
+        return gw, gm, gv
+
+    return tape.node("similarity", sim, (weights, means, variances), vjp)
 
 
 def pcl_loss_t(

@@ -172,6 +172,10 @@ def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
         h = encoder_forward_t(pt, tape.constant(views.views), cfg.model)
         w, m, v, z = mdn_forward_t(pt, h, cfg.model)
         nll = nll_loss_t(w, m, v, z)
+        if cfg.loss.lam == 0.0:
+            # A zero weight gives the contrastive term an all-zero gradient:
+            # compute it off the tape, for the loss curve only.
+            w, m, v = (tape.constant(t.value) for t in (w, m, v))
         pcl = pcl_loss_t(w, m, v, views.labels, cfg.model.mixture_dim, cfg.loss)
         return nll, pcl, nll + pcl * cfg.loss.lam
 

@@ -21,8 +21,9 @@ from .errors import InputError, NumericError
 
 Array = np.ndarray
 
-# Maps the output gradient to one gradient per parent; binary ops return
-# None for a parent that needs none, so constant operands cost nothing.
+# Maps the output gradient to one gradient per parent (the op's VJP); it
+# returns None for a parent that needs none, so constant operands cost
+# nothing.
 _BackwardFn = Callable[[Array], tuple]
 
 
@@ -111,7 +112,18 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _node(op, value, parents, backward_fn) -> Tensor:
+def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) -> Tensor:
+    """Record one operation on the tape; every op here and any custom op
+    elsewhere is built with it.
+
+    ``op`` names the operation in numeric-error messages.  ``backward_fn``
+    maps the gradient of ``value`` to a tuple with one entry per parent,
+    in order: that parent's gradient, shaped like its value, or None when
+    the parent does not require one.  :func:`backward` skips entries for
+    parents that need no gradient and raises :class:`NumericError` naming
+    ``op`` for a non-finite one.  When no parent needs a gradient the
+    result is a constant and ``backward_fn`` is dropped.
+    """
     needs = any(p.requires_grad for p in parents)
     return Tensor(
         value,
@@ -135,7 +147,7 @@ def add(a, b) -> Tensor:
             _unbroadcast(g, b.value.shape) if b.requires_grad else None,
         )
 
-    return _node("add", out, (a, b), bw)
+    return node("add", out, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -148,7 +160,7 @@ def sub(a, b) -> Tensor:
             _unbroadcast(-g, b.value.shape) if b.requires_grad else None,
         )
 
-    return _node("sub", out, (a, b), bw)
+    return node("sub", out, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -161,7 +173,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
         )
 
-    return _node("mul", out, (a, b), bw)
+    return node("mul", out, (a, b), bw)
 
 
 def div(a, b) -> Tensor:
@@ -176,7 +188,7 @@ def div(a, b) -> Tensor:
             else None,
         )
 
-    return _node("div", out, (a, b), bw)
+    return node("div", out, (a, b), bw)
 
 
 # -- elementwise unary ops ----------------------------------------------
@@ -184,7 +196,7 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _node("neg", -a.value, (a,), lambda g: (-g,))
+    return node("neg", -a.value, (a,), lambda g: (-g,))
 
 
 def pow_const(a, exponent: float) -> Tensor:
@@ -197,36 +209,36 @@ def pow_const(a, exponent: float) -> Tensor:
     exponent = float(exponent)
     if exponent == 0.0:
         out = np.ones_like(a.value)
-        return _node("pow", out, (a,), lambda g: (np.zeros_like(a.value),))
+        return node("pow", out, (a,), lambda g: (np.zeros_like(a.value),))
     out = np.power(a.value, exponent)
 
     def bw(g):
         return (g * exponent * np.power(a.value, exponent - 1.0),)
 
-    return _node("pow", out, (a,), bw)
+    return node("pow", out, (a,), bw)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.value)
-    return _node("exp", out, (a,), lambda g: (g * out,))
+    return node("exp", out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _node("log", np.log(a.value), (a,), lambda g: (g / a.value,))
+    return node("log", np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.value)
-    return _node("sqrt", out, (a,), lambda g: (g * 0.5 / out,))
+    return node("sqrt", out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.value)
-    return _node("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
+    return node("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
@@ -235,13 +247,13 @@ def sigmoid(a) -> Tensor:
     x = a.value
     t = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return _node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
+    return node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.value > 0
-    return _node("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    return node("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def elu(a) -> Tensor:
@@ -252,7 +264,7 @@ def elu(a) -> Tensor:
     def bw(g):
         return (g * np.where(mask, 1.0, np.exp(np.minimum(a.value, 0.0))),)
 
-    return _node("elu", out, (a,), bw)
+    return node("elu", out, (a,), bw)
 
 
 def where(condition, a, b) -> Tensor:
@@ -271,7 +283,7 @@ def where(condition, a, b) -> Tensor:
             _unbroadcast(np.where(cond, 0.0, g), b.value.shape) if b.requires_grad else None,
         )
 
-    return _node("where", out, (a, b), bw)
+    return node("where", out, (a, b), bw)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -280,7 +292,7 @@ def where(condition, a, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.value.reshape(shape)
-    return _node("reshape", out, (a,), lambda g: (g.reshape(a.value.shape),))
+    return node("reshape", out, (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -295,7 +307,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    return _node("sum", out, (a,), bw)
+    return node("sum", out, (a,), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -310,7 +322,7 @@ def matmul(a, b) -> Tensor:
             a.value.T @ g if b.requires_grad else None,
         )
 
-    return _node("matmul", out, (a, b), bw)
+    return node("matmul", out, (a, b), bw)
 
 
 # -- composed numerically stable reductions ------------------------------

@@ -2,7 +2,10 @@
 
 Everything here is written from the defining formulas with plain loops
 and ``math`` calls, deliberately not sharing code with the package, so a
-bug would have to be made twice to go unnoticed.
+bug would have to be made twice to go unnoticed.  The one exception is
+:func:`composite_similarity_t`, which builds the mixture similarity from
+elementary tape ops so that the tape differentiates it, as an oracle for
+the gradient of the fused ``losses.similarity_matrix_t``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from mixcon import tape
 
 
 class Mixture(NamedTuple):
@@ -69,6 +74,36 @@ def naive_correlation(p, q) -> float:
     return naive_mixture_cross(p, q) / math.sqrt(
         naive_mixture_cross(p, p) * naive_mixture_cross(q, q)
     )
+
+
+def _pairwise_cross(w_a, m_a, v_a, w_b, m_b, v_b, dim, shape_a, shape_b, reduce_axes):
+    """Closed-form sum_k sum_l w w' integral(N N') with tensors, any broadcast layout."""
+    va = tape.reshape(v_a, shape_a)
+    vb = tape.reshape(v_b, shape_b)
+    total_var = va + vb
+    delta = tape.reshape(m_a, shape_a) - tape.reshape(m_b, shape_b)
+    pair = tape.pow_const(total_var * (2.0 * np.pi), -0.5 * dim) * tape.exp(
+        (delta * delta) * (-0.5 * dim) / total_var
+    )
+    w_outer = tape.reshape(w_a, shape_a) * tape.reshape(w_b, shape_b)
+    return tape.tsum(w_outer * pair, axis=reduce_axes)
+
+
+def composite_similarity_t(weights, means, variances, dim):
+    """(B, B) similarity cross(i,j) / sqrt(self(i) * self(j)) as a graph of
+    elementary tape ops: the pairwise cross term over a (B, B, C, C)
+    broadcast, and a second pass over (B, C, C) for the self-overlap."""
+    b, c = weights.value.shape
+    cross = _pairwise_cross(
+        weights, means, variances, weights, means, variances,
+        dim, (b, 1, c, 1), (1, b, 1, c), (2, 3),
+    )
+    self_overlap = _pairwise_cross(
+        weights, means, variances, weights, means, variances,
+        dim, (b, c, 1), (b, 1, c), (1, 2),
+    )
+    denom = tape.sqrt(tape.reshape(self_overlap, (b, 1)) * tape.reshape(self_overlap, (1, b)))
+    return cross / denom
 
 
 def naive_jaccard(a, b) -> float:

@@ -148,6 +148,69 @@ def test_similarity_matrix_matches_pairwise_closed_form():
             assert sim[i, j] == pytest.approx(expected, rel=1e-12)
 
 
+def assert_matches_composite_graph(w, m, v, dim, seed, trainable=(True, True, True)):
+    """Value and gradients of the fused op against the composite-graph
+    oracle, through a random linear read-out g of the (B, B) matrix, at
+    1e-12 relative to each array's largest entry.  A gradient that is zero
+    in exact arithmetic (the weights' at C = 1, every one at B = 1, where
+    S = 1) is rounding noise on both sides, so the scale is never below
+    that of g."""
+    g = np.random.default_rng(seed).normal(size=(len(w), len(w)))
+    results = []
+    for kernel in (similarity_matrix_t, reference.composite_similarity_t):
+        blocks = [tape.leaf(b) if t else tape.constant(b) for b, t in zip((w, m, v), trainable)]
+        sim = kernel(*blocks, dim)
+        tape.backward(tape.tsum(sim * tape.constant(g)))
+        results.append([sim.value] + [b.grad for b in blocks])
+    fused, oracle = results
+    for got, want, t in zip(fused, oracle, (True, *trainable)):
+        if not t:
+            assert got is None and want is None
+            continue
+        scale = max(np.max(np.abs(want)), np.max(np.abs(g)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_similarity_op_matches_composite_graph_at_training_shape():
+    w, m, v, _ = random_batch(np.random.default_rng(21), 128, 6, 4)
+    assert_matches_composite_graph(w, m, v, 4, seed=22)
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_similarity_op_matches_composite_graph_at_small_shapes(b, c, dim):
+    rng = np.random.default_rng(100 * b + 10 * c + dim)
+    w, m, v, _ = random_batch(rng, b, c, dim)
+    assert_matches_composite_graph(w, m, v, dim, seed=b + c + dim)
+
+
+def test_similarity_op_matches_composite_graph_with_zero_weight_padding():
+    rng = np.random.default_rng(23)
+    mixtures = []
+    for i in range(6):
+        k = 1 + i % 3
+        w = rng.uniform(0.2, 1.0, size=k)
+        mixtures.append(
+            Mixture(w / w.sum(), rng.uniform(-3, 3, size=k), rng.uniform(1, 4, size=k), 2)
+        )
+    w, m, v = reference.padded_blocks(mixtures)
+    assert np.sum(w == 0.0) == 6
+    assert_matches_composite_graph(w, m, v, 2, seed=24)
+
+
+@pytest.mark.parametrize(
+    "trainable", [(False, True, True), (True, False, False), (False, False, True)]
+)
+def test_similarity_op_returns_no_gradient_for_constant_blocks(trainable):
+    w, m, v, _ = random_batch(np.random.default_rng(25), 4, 3, 2)
+    assert_matches_composite_graph(w, m, v, 2, seed=26, trainable=trainable)
+    blocks = [tape.leaf(b) if t else tape.constant(b) for b, t in zip((w, m, v), trainable)]
+    sim = similarity_matrix_t(*blocks, 2)
+    for grad, t in zip(sim._backward(np.ones((4, 4))), trainable):
+        assert (grad is not None) == t
+
+
 # -- pcl -----------------------------------------------------------------------
 
 

@@ -192,6 +192,33 @@ def test_nonfinite_gradient_names_the_op():
         tape.backward(loss)
 
 
+def _two_parent_op(a, b, grad_a, grad_b):
+    """A custom op built with ``tape.node``: sum(a * b), whose VJP returns
+    the given fixed gradients; a None stands for 'no gradient needed'."""
+    return tape.node(
+        "custom_dot", np.sum(a.value * b.value), (a, b), lambda g: (grad_a, grad_b)
+    )
+
+
+def test_custom_op_with_nonfinite_contribution_names_its_op():
+    a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(2))
+    out = _two_parent_op(a, b, np.ones(2), np.array([1.0, np.nan]))
+    with pytest.raises(NumericError, match="custom_dot"):
+        tape.backward(out)
+
+
+def test_custom_op_skips_parents_that_need_no_gradient():
+    a, b = tape.leaf(np.array([2.0, 3.0])), tape.constant(np.ones(2))
+    # The constant parent's entry is never looked at, finite or not.
+    for grad_b in (None, np.array([np.inf, np.nan])):
+        out = _two_parent_op(a, b, np.array([5.0, 7.0]), grad_b)
+        (ga,) = tape.grads_of(out, [a])
+        np.testing.assert_array_equal(ga, [5.0, 7.0])
+        assert b.grad is None
+    constant_only = _two_parent_op(b, b, None, None)
+    assert not constant_only.requires_grad and constant_only._backward is None
+
+
 def test_backward_rezeroes_buffers_between_calls():
     x = tape.leaf(np.array([2.0]))
     loss = tape.tsum(x * x)
