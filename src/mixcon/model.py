@@ -100,8 +100,7 @@ def params_to_tensors(params: Params, trainable_prefixes: tuple[str, ...] = ("",
     """Wrap parameter arrays as tape leaves.
 
     Only names starting with one of ``trainable_prefixes`` require
-    gradients; the rest enter the graph as constants, which is how the
-    frozen-encoder stage keeps encoder bytes untouched by construction.
+    gradients; the rest enter the graph as constants.
     """
     out = {}
     for name, value in params.items():

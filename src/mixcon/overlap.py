@@ -91,3 +91,17 @@ def positive_mask(overlap: np.ndarray, alpha: float) -> np.ndarray:
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
         raise InputError("positive sets need a square overlap matrix over at least 2 views")
     return ~np.eye(d.shape[0], dtype=bool) & (d >= alpha)
+
+
+def positive_pair_count(labels, measure: str, alpha: float) -> int:
+    """Total size of all positive sets, ``positive_mask(overlap_matrix(labels,
+    measure), alpha).sum()``, without the (m, m) arrays.
+
+    D_ij depends only on rows y_i and y_j, so it is taken over the distinct
+    rows u (at most 2^C), with multiplicities c.  With A_uv = [D_uv >= alpha]
+    the count is c^T A c - sum_u A_uu c_u: every ordered pair of rows,
+    less each row paired with itself.
+    """
+    rows, counts = np.unique(np.asarray(labels), axis=0, return_counts=True)
+    hit = overlap_matrix(rows, measure) >= alpha
+    return int(counts @ hit @ counts - counts @ hit.diagonal())

@@ -41,7 +41,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import adam_step, init_adam, one_cycle_lr
-from .overlap import overlap_matrix, positive_mask
+from .overlap import positive_pair_count
 
 STREAM_SPLIT = 1000
 STREAM_INIT = 1001
@@ -116,12 +116,15 @@ def _fit(
     Each epoch walks a fresh permutation of the ``num_samples`` training
     rows, drawn from ``shuffle_seed``, in ``batch_size`` slices.  A step
     builds its batch with ``make_batch(idx, step)``, wraps the parameters
-    (only names under ``trainable`` get gradients), and calls
-    ``batch_loss(pt, batch)``, which returns the Tensors the stage logs
-    with the optimized ``objective`` last.  Returns one row per epoch: the
+    named under ``trainable`` as tape leaves, and calls
+    ``batch_loss(pt, batch)``, which reads only those and returns the
+    Tensors the stage logs with the optimized ``objective`` last.  A
+    numeric failure in the forward or backward pass is re-raised with the
+    objective, epoch and step appended.  Returns one row per epoch: the
     epoch, the per-step mean of every logged Tensor, and the last lr.
     """
     keys = [k for k in params if k.startswith(trainable)]
+    leaves = {k: params[k] for k in keys}
     state = init_adam(params, keys=keys)
     batch = optim.batch_size
     steps_per_epoch = num_samples // batch if drop_last else math.ceil(num_samples / batch)
@@ -133,11 +136,16 @@ def _fit(
         logged = []
         for b in range(steps_per_epoch):
             data = make_batch(order[b * batch : (b + 1) * batch], step)
-            pt = params_to_tensors(params, trainable_prefixes=trainable)
-            parts = batch_loss(pt, data)
-            if not np.isfinite(parts[-1].value):
-                raise NumericError(f"non-finite {objective} loss at step {step}")
-            tape.backward(parts[-1])
+            pt = params_to_tensors(leaves)
+            try:
+                parts = batch_loss(pt, data)
+                if not np.isfinite(parts[-1].value):
+                    raise NumericError("loss is non-finite")
+                tape.backward(parts[-1])
+            except NumericError as exc:
+                raise NumericError(
+                    f"{exc} ({objective} objective, epoch {epoch}, step {step})"
+                ) from exc
             lr = one_cycle_lr(step, total_steps, optim)
             adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
             logged.append([float(part.value) for part in parts])
@@ -337,8 +345,9 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
         try:
             stage_one = train_contrastive(run_cfg, sub)
             stage_two = train_classifier(run_cfg, stage_one.checkpoint, sub)
-            overlap = overlap_matrix(labels[train_idx], run_cfg.loss.measure)
-            positive = positive_mask(overlap, run_cfg.loss.alpha)
+            positives = positive_pair_count(
+                labels[train_idx], run_cfg.loss.measure, run_cfg.loss.alpha
+            )
             r = stage_two.report
             rows.append(
                 (
@@ -351,7 +360,7 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
                     r.op,
                     r.or_,
                     r.of1,
-                    int(positive.sum()) / len(train_idx),
+                    positives / len(train_idx),
                     "ok",
                 )
             )

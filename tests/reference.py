@@ -2,10 +2,12 @@
 
 Everything here is written from the defining formulas with plain loops
 and ``math`` calls, deliberately not sharing code with the package, so a
-bug would have to be made twice to go unnoticed.  The one exception is
-:func:`composite_similarity_t`, which builds the mixture similarity from
-elementary tape ops so that the tape differentiates it, as an oracle for
-the gradient of the fused ``losses.similarity_matrix_t``.
+bug would have to be made twice to go unnoticed.  The two exceptions are
+the tape oracles :func:`composite_similarity_t` and
+:func:`composite_asl_t`.  They build the mixture similarity and the
+asymmetric loss from elementary tape ops, so that the tape differentiates
+them, as oracles for the gradients of the fused
+``losses.similarity_matrix_t`` and ``losses.asl_loss_t``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from mixcon import tape
+from mixcon.errors import InputError
 
 
 class Mixture(NamedTuple):
@@ -104,6 +107,38 @@ def composite_similarity_t(weights, means, variances, dim):
     )
     denom = tape.sqrt(tape.reshape(self_overlap, (b, 1)) * tape.reshape(self_overlap, (1, b)))
     return cross / denom
+
+
+def composite_asl_t(probabilities, labels, cfg):
+    """Asymmetric binary loss summed over batch and classes.
+
+    Positive terms -(1-p)^g+ log p; negative terms -(p_m)^g- log(1 - p_m)
+    with p_m = max(p - margin, 0).  A probability of exactly 0 on a
+    positive (or 1 with margin 0 on a negative) makes the loss infinite,
+    which backward() then reports as a numeric error.
+    """
+    probs = probabilities
+    if probs.value.ndim == 1:
+        probs = tape.reshape(probs, (1, probs.value.shape[0]))
+    y = np.asarray(labels)
+    if y.ndim == 1:
+        y = y[None, :]
+    if y.shape != probs.value.shape:
+        raise InputError("labels must match the probability block shape")
+    if not np.isin(y, (0, 1)).all():
+        raise InputError("label entries must be 0 or 1")
+    if np.any(probs.value < 0.0) or np.any(probs.value > 1.0):
+        raise InputError("probabilities must lie in [0, 1]")
+    pos_mask = y == 1
+    # Masked-out branches are pinned to safe constants so the dead side
+    # never produces log(0) that would poison the live side via 0 * inf.
+    p_pos = tape.where(pos_mask, probs, tape.constant(np.full(y.shape, 0.5)))
+    pos_term = tape.pow_const(1.0 - p_pos, cfg.gamma_pos) * tape.log(p_pos)
+    shifted = tape.relu(probs - cfg.margin)
+    p_neg = tape.where(~pos_mask, shifted, tape.constant(np.zeros(y.shape)))
+    neg_term = tape.pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
+    gated = tape.where(pos_mask, pos_term, neg_term)
+    return -tape.tsum(gated)
 
 
 def naive_jaccard(a, b) -> float:

@@ -470,3 +470,52 @@ def test_asl_gradient_matches_finite_differences(seed):
         ) / (2 * step)
         denom = max(abs(grad[i]), abs(numeric), 1e-8)
         assert abs(grad[i] - numeric) / denom < 1e-4
+
+
+def assert_asl_matches_composite_graph(probs, labels, cfg, read_out=1.0):
+    """Value and gradient of the fused op against the composite-graph
+    oracle at 1e-12 relative, entry by entry.  The loss enters backward
+    scaled by ``read_out``, so the VJP also sees an output gradient G != 1."""
+    results = []
+    for loss_fn in (asl_loss_t, reference.composite_asl_t):
+        leaf = tape.leaf(np.array(probs, dtype=np.float64))
+        loss = loss_fn(leaf, labels, cfg)
+        tape.backward(loss * read_out)
+        results.append((loss.value, leaf.grad))
+    (value, grad), (want_value, want_grad) = results
+    np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=0)
+    assert grad.shape == np.shape(probs)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)
+
+
+def asl_block(rng, margin, shape=(7, 5)):
+    """Random probabilities with negatives placed exactly at the margin and
+    at 0, and a positive at 1; no positive at 0, where the loss is infinite."""
+    labels = (rng.random(shape) < 0.4).astype(int)
+    labels.flat[:4] = (0, 0, 1, 0)
+    probs = rng.uniform(0.01, 0.99, size=shape)
+    probs.flat[:4] = (margin, 0.0, 1.0, 0.5)
+    if margin == 0.0:
+        probs[(labels == 0) & (probs > 0.99)] = 0.99  # p = 1 on a negative is infinite
+    return probs, labels
+
+
+@pytest.mark.parametrize("gamma_pos", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("gamma_neg", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+def test_asl_op_matches_composite_graph(gamma_pos, gamma_neg, margin):
+    cfg = AslConfig(gamma_pos=gamma_pos, gamma_neg=gamma_neg, margin=margin)
+    rng = np.random.default_rng(int(100 * gamma_pos + 10 * gamma_neg + 100 * margin))
+    probs, labels = asl_block(rng, margin)
+    assert_asl_matches_composite_graph(probs, labels, cfg)
+    assert_asl_matches_composite_graph(probs, labels, cfg, read_out=-2.5)
+    assert_asl_matches_composite_graph(probs[0], labels[0], cfg)
+
+
+def test_asl_op_on_a_constant_has_no_vjp():
+    cfg = AslConfig(gamma_pos=1.0)
+    probs, labels = asl_block(np.random.default_rng(61), cfg.margin)
+    loss = asl_loss_t(tape.constant(probs), labels, cfg)
+    assert not loss.requires_grad and loss._backward is None
+    want = reference.composite_asl_t(tape.constant(probs), labels, cfg).value
+    np.testing.assert_allclose(loss.value, want, rtol=1e-12, atol=0)

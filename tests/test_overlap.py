@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcon.errors import InputError
-from mixcon.overlap import MEASURES, cosine, jaccard, overlap_matrix, positive_mask
+from mixcon.overlap import (
+    MEASURES,
+    cosine,
+    jaccard,
+    overlap_matrix,
+    positive_mask,
+    positive_pair_count,
+)
 
 import reference
 
@@ -127,6 +134,8 @@ def test_positive_set_validation():
         positive_mask(overlap_matrix(np.array([[1, 0], [0, 1]])), alpha=1.5)
     with pytest.raises(InputError):
         positive_mask(np.zeros((2, 3)), alpha=0.5)
+    with pytest.raises(InputError):
+        positive_pair_count(np.array([[1, 2], [0, 1]]), "jaccard", 0.5)
 
 
 def test_membership_weight_symmetry_is_bitwise():
@@ -167,4 +176,19 @@ def test_mean_positive_set_size():
     labels = np.array([[1, 0], [1, 0], [0, 1]])
     mask = positive_mask(overlap_matrix(labels), alpha=0.5)
     assert int(mask.sum()) / len(labels) == 2 / 3
+    assert positive_pair_count(labels, "jaccard", 0.5) / len(labels) == 2 / 3
     assert [int(n) for n in mask.sum(axis=1)] == [1, 1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 60))
+def test_positive_pair_count_equals_the_mask_count(seed, c, m):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random((m, c)) < 0.4).astype(int)
+    for measure in MEASURES:
+        d = overlap_matrix(labels, measure)
+        for alpha in (0.0, 0.3, 0.5, 2 / 3, 1.0):
+            # The mask needs two views; one view has no pair to count.
+            want = int(positive_mask(d, alpha).sum()) if m >= 2 else 0
+            assert positive_pair_count(labels, measure, alpha) == want
+

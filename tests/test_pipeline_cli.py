@@ -22,7 +22,7 @@ from mixcon.config import (
     load_config,
     save_config,
 )
-from mixcon.errors import InputError
+from mixcon.errors import InputError, NumericError
 from mixcon.losses import ContrastiveLossConfig
 from mixcon.model import ModelConfig, encoder_bytes, load_checkpoint
 from mixcon.pipeline import ablate, evaluate, train_classifier, train_contrastive
@@ -98,6 +98,56 @@ class TestPipeline:
         assert all(np.array_equal(before[k], after[k]) for k in mdn_keys)
         cls_keys = [k for k in before if k.startswith("cls.")]
         assert any(not np.array_equal(before[k], after[k]) for k in cls_keys)
+
+    def test_stage_two_tapes_only_the_head(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        r1 = train_contrastive(cfg, tmp_path)
+        wrapped = []
+        wrap = pipeline.params_to_tensors
+
+        def recording_wrap(params, *args, **kwargs):
+            pt = wrap(params, *args, **kwargs)
+            wrapped.append(sorted(pt))
+            return pt
+
+        monkeypatch.setattr(pipeline, "params_to_tensors", recording_wrap)
+        train_classifier(cfg, r1.checkpoint, tmp_path)
+        assert len(wrapped) == 6 and wrapped == [["cls.b", "cls.w"]] * 6
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_stage_two_non_finite_loss_names_epoch_and_step(self, tmp_path, monkeypatch):
+        # 90 training rows in batches of 30: three steps per epoch.
+        cfg = tiny_config()
+        r1 = train_contrastive(cfg, tmp_path)
+        forward = pipeline.classifier_forward_t
+        calls = []
+
+        def zero_at_step_four(pt, h):
+            calls.append(None)
+            probs = forward(pt, h)
+            return probs * 0.0 if len(calls) == 5 else probs
+
+        monkeypatch.setattr(pipeline, "classifier_forward_t", zero_at_step_four)
+        with pytest.raises(NumericError) as info:
+            train_classifier(cfg, r1.checkpoint, tmp_path)
+        assert str(info.value) == "loss is non-finite (classifier objective, epoch 1, step 4)"
+
+    def test_backward_numeric_error_keeps_the_op_and_adds_where(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        r1 = train_contrastive(cfg, tmp_path)
+        forward = pipeline.classifier_forward_t
+
+        def infinite_slope(pt, h):
+            # A finite value whose backward divides by sqrt(0).
+            probs = forward(pt, h)
+            return tape.sqrt(probs * 0.0) + 0.5
+
+        monkeypatch.setattr(pipeline, "classifier_forward_t", infinite_slope)
+        with pytest.raises(NumericError) as info:
+            train_classifier(cfg, r1.checkpoint, tmp_path)
+        assert str(info.value) == (
+            "non-finite gradient produced by op 'sqrt' (classifier objective, epoch 0, step 0)"
+        )
 
     def test_no_tape_tensor_outlives_its_step(self, tmp_path, monkeypatch):
         # At each batch build the previous step's graph must already be gone.
