@@ -32,7 +32,7 @@ from .losses import (
 )
 from .metrics import MetricsReport, PredictionSet, average_precision, pr_f1_report
 from .model import Checkpoint, ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .overlap import cosine, jaccard, overlap_matrix, positive_mask
+from .overlap import overlap_matrix, positive_mask
 from .pipeline import ablate, evaluate, train_classifier, train_contrastive
 
 __version__ = "0.1.0"
@@ -57,11 +57,9 @@ __all__ = [
     "augment",
     "average_precision",
     "config_hash",
-    "cosine",
     "evaluate",
     "generate_synthetic",
     "init_params",
-    "jaccard",
     "load_checkpoint",
     "load_config",
     "make_contrastive_batch",

@@ -17,7 +17,6 @@ so adding a consumer never shifts another's draws.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,26 +107,10 @@ class SyntheticDatasetConfig:
 
 @dataclass(frozen=True)
 class ContrastiveBatch:
-    """2N augmented views with duplicated labels and origin bookkeeping."""
+    """2N augmented views, rows 2i and 2i+1 from sample i, labels duplicated."""
 
     views: np.ndarray
     labels: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self):
-        if self.views.ndim != 2 or self.labels.ndim != 2 or self.origin.ndim != 1:
-            raise InputError("malformed contrastive batch arrays")
-        two_n = self.views.shape[0]
-        if two_n % 2 != 0 or self.labels.shape[0] != two_n or self.origin.shape[0] != two_n:
-            raise InputError("contrastive batch must hold 2N aligned views")
-        pairs = self.origin.reshape(-1, 2)
-        if not np.array_equal(pairs[:, 0], pairs[:, 1]):
-            raise InputError("view pairs must share an origin sample")
-        if not np.array_equal(
-            self.labels.reshape(-1, 2, self.labels.shape[1])[:, 0],
-            self.labels.reshape(-1, 2, self.labels.shape[1])[:, 1],
-        ):
-            raise InputError("view pairs must share identical labels")
 
 
 def conditional_coefficients(matrix: np.ndarray) -> list[tuple[np.ndarray, float]]:
@@ -258,61 +241,5 @@ def make_contrastive_batch(
     for i in range(n):
         views[2 * i] = augment(feats[i], splitmix64(seed, 2 * i), cfg)
         views[2 * i + 1] = augment(feats[i], splitmix64(seed, 2 * i + 1), cfg)
-    return ContrastiveBatch(
-        views=views,
-        labels=np.repeat(labs, 2, axis=0),
-        origin=np.repeat(np.arange(n), 2),
-    )
+    return ContrastiveBatch(views=views, labels=np.repeat(labs, 2, axis=0))
 
-
-# -- line-delimited dataset container -------------------------------------------
-
-
-def save_dataset(path, features: np.ndarray, labels: np.ndarray, header: dict) -> None:
-    """Write one header line plus one text record per sample.
-
-    Floats are serialized with repr, which round-trips float64 exactly,
-    so save/load is bit-stable.
-    """
-    lines = ["# mixcon-dataset v1 " + json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for x, y in zip(features, labels):
-        record = " ".join(repr(float(v)) for v in x)
-        bits = "".join(str(int(b)) for b in y)
-        lines.append(f"{record}|{bits}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: dataset is not UTF-8 text: {exc}") from exc
-    if not lines or not lines[0].startswith("# mixcon-dataset v1 "):
-        raise InputError(f"{path}: not a recognized dataset file")
-    try:
-        header = json.loads(lines[0][len("# mixcon-dataset v1 ") :])
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:1: dataset header is not valid JSON: {exc}") from exc
-    features, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            record, bits = line.rsplit("|", 1)
-            features.append([float(v) for v in record.split()])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if not set(bits) <= {"0", "1"}:
-            raise InputError(f"{path}:{lineno}: label bits must be 0 or 1, got {bits!r}")
-        labels.append([int(b) for b in bits])
-    try:
-        return (
-            np.asarray(features, dtype=np.float64),
-            np.asarray(labels, dtype=np.int64),
-            header,
-        )
-    except ValueError as exc:
-        raise InputError(f"{path}: records differ in length: {exc}") from exc

@@ -4,8 +4,8 @@ asymmetric classification loss.
 Each ``*_t`` function operates on :class:`~mixcon.tape.Tensor` batches of
 stacked mixture parameters (or probabilities) and returns a scalar
 Tensor, so the model's forward pass chains straight into it and
-``tape.backward`` / ``tape.grads_of`` give the gradients.  Stage one
-trains on ``nll + lam * pcl``.
+``tape.backward`` gives the gradients.  Stage one trains on
+``nll + lam * pcl``.
 """
 
 from __future__ import annotations
@@ -222,10 +222,11 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
     ``G (g+ (1-p)^(g+ - 1) log p - (1-p)^g+ / p)`` where y = 1, and
     ``G (-g- p_m^(g- - 1) log(1 - p_m) + p_m^g- / (1 - p_m)) [p > margin]``
     where y = 0.  An exponent of 0 makes its factor the constant 1 and
-    drops its derivative term.  A 1-D block is one row.  A probability of
-    exactly 0 on a positive (or 1 with margin 0 on a negative) makes the
-    loss infinite, which the caller or backward() reports as a numeric
-    error.
+    drops its derivative term.  At p = 1 the g+ term is taken as its limit,
+    0, which 0 < g+ < 1 would otherwise evaluate as 0 * inf.  A 1-D block
+    is one row.  A probability of exactly 0 on a positive (or 1 with margin
+    0 on a negative) makes the loss infinite, which the caller or
+    backward() reports as a numeric error.
     """
     p = probabilities.value
     if p.ndim == 1:
@@ -259,7 +260,8 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
     def vjp(g):
         d_pos = -focus_pos / p_pos
         if gamma_pos:
-            d_pos = gamma_pos * log_pos * np.power(q_pos, gamma_pos - 1.0) + d_pos
+            focus_term = gamma_pos * log_pos * np.power(q_pos, gamma_pos - 1.0)
+            d_pos = np.where(q_pos > 0.0, focus_term, 0.0) + d_pos
         d_neg = focus_neg / q_m
         if gamma_neg:
             d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)

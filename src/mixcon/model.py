@@ -91,11 +91,6 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
     return params
 
 
-def parameter_count(cfg: ModelConfig) -> int:
-    """Analytic count of trainable scalars: sum of (fan_in + 1) * fan_out."""
-    return sum((fan_in + 1) * fan_out for _, fan_in, fan_out in _layer_sizes(cfg))
-
-
 def params_to_tensors(params: Params, trainable_prefixes: tuple[str, ...] = ("",)) -> dict[str, Tensor]:
     """Wrap parameter arrays as tape leaves.
 

@@ -1,4 +1,4 @@
-"""Adam updates, the one-cycle learning-rate schedule, and gradient checking.
+"""Adam updates and the one-cycle learning-rate schedule.
 
 The schedule warms up with a half-cosine over the first ``warmup_frac`` of
 steps (30% by default) and decays with another half-cosine to
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import tape
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -96,37 +95,3 @@ def one_cycle_lr(step: int, total_steps: int, optim: OptimConfig) -> float:
     w = 0.5 * (1.0 + math.cos(math.pi * u))
     return final_lr * (1.0 - w) + peak_lr * w
 
-
-def finite_diff_check(params: Params, loss_fn, step: float = 1e-5) -> float:
-    """Worst-case relative error of tape gradients vs central differences.
-
-    ``loss_fn`` maps a dict of Tensors (same keys as ``params``) to a
-    scalar Tensor and must be pure.  Every scalar parameter is perturbed
-    in both directions; the relative error uses denominator
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    if not step > 0.0:
-        raise InputError("step must be positive")
-    leaves = {k: tape.leaf(v) for k, v in params.items()}
-    analytic_grads = dict(
-        zip(leaves, tape.grads_of(loss_fn(leaves), list(leaves.values())))
-    )
-
-    def value_at(values: Params) -> float:
-        out = loss_fn({k: tape.constant(v) for k, v in values.items()})
-        return float(out.value)
-
-    worst = 0.0
-    for name, base in params.items():
-        flat = np.asarray(base, dtype=np.float64).ravel()
-        for idx in range(flat.size):
-            perturbed = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-            perturbed[name].ravel()[idx] = flat[idx] + step
-            hi = value_at(perturbed)
-            perturbed[name].ravel()[idx] = flat[idx] - step
-            lo = value_at(perturbed)
-            numeric = (hi - lo) / (2.0 * step)
-            analytic = float(analytic_grads[name].ravel()[idx])
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

@@ -1,4 +1,4 @@
-"""Binary label-vector overlap measures and positive-set construction.
+"""Pairwise overlap of binary label vectors, and the positive sets built on it.
 
 The overlap value D(y_i, y_j) plays two roles in the contrastive stage:
 thresholded against alpha it decides membership of the positive set
@@ -7,58 +7,21 @@ A(i) = {j != i : D >= alpha}, and it weights each surviving pair's term.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import InputError
 
-
-def _as_label_array(a) -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.ndim != 1:
-        raise InputError("label vector must be one-dimensional")
-    if not np.isin(arr, (0, 1)).all():
-        raise InputError("label entries must be 0 or 1")
-    return arr.astype(np.int64)
-
-
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _as_label_array(a), _as_label_array(b)
-    if a.shape != b.shape:
-        raise InputError(f"label length mismatch: {a.size} vs {b.size}")
-    return a, b
-
-
-def jaccard(a, b) -> float:
-    """Intersection over union in dot-product form: a.b / (|a|^2 + |b|^2 - a.b).
-
-    Both vectors all-zero is defined as 0 (no division by zero); the data
-    pipeline never emits such vectors, but they are tolerated here.
-    """
-    a, b = _pair(a, b)
-    inter = int(a @ b)
-    union = int(a @ a) + int(b @ b) - inter
-    return inter / union if union else 0.0
-
-
-def cosine(a, b) -> float:
-    """a.b / (|a| |b|), with 0 when either vector is all-zero."""
-    a, b = _pair(a, b)
-    na, nb = int(a @ a), int(b @ b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return int(a @ b) / float(np.sqrt(float(na) * float(nb)))
-
-
-MEASURES: dict[str, Callable] = {"jaccard": jaccard, "cosine": cosine}
+MEASURES = ("jaccard", "cosine")
 
 
 def overlap_matrix(labels, measure: str = "jaccard") -> np.ndarray:
     """Pairwise overlap D for a stack of label vectors, shape (m, m).
 
-    A Gram-matrix form of the named measure; the diagonal holds the self
-    value, and entry (i, j) equals ``MEASURES[measure](y_i, y_j)`` bitwise.
+    With the Gram matrix G = Y Y^T, jaccard is G_ij / (G_ii + G_jj - G_ij)
+    (intersection over union) and cosine is G_ij / sqrt(G_ii G_jj).  A
+    zero denominator, from an all-zero label vector, gives 0; the data
+    pipeline never emits such vectors, but they are tolerated here.  The
+    diagonal holds the self value.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown overlap measure {measure!r}; expected one of {sorted(MEASURES)}")

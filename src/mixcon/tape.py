@@ -13,7 +13,7 @@ over broadcast axes so leaf gradients always match leaf shapes.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -199,25 +196,6 @@ def neg(a) -> Tensor:
     return node("neg", -a.value, (a,), lambda g: (-g,))
 
 
-def pow_const(a, exponent: float) -> Tensor:
-    """``a`` raised to a fixed scalar exponent.
-
-    ``exponent == 0`` is treated as the constant 1 with zero gradient, so
-    focusing factors switched off in a config do not inject 0*inf terms.
-    """
-    a = _as_tensor(a)
-    exponent = float(exponent)
-    if exponent == 0.0:
-        out = np.ones_like(a.value)
-        return node("pow", out, (a,), lambda g: (np.zeros_like(a.value),))
-    out = np.power(a.value, exponent)
-
-    def bw(g):
-        return (g * exponent * np.power(a.value, exponent - 1.0),)
-
-    return node("pow", out, (a,), bw)
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.value)
@@ -248,12 +226,6 @@ def sigmoid(a) -> Tensor:
     t = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     return node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.value > 0
-    return node("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def elu(a) -> Tensor:
@@ -401,10 +373,3 @@ def backward(loss: Tensor) -> None:
             else:
                 parent.grad = parent.grad + contribution
 
-
-def grads_of(loss: Tensor, leaves: Sequence[Tensor]) -> list[Array]:
-    """Run backward and return gradients for ``leaves`` (zeros if unused)."""
-    backward(loss)
-    return [
-        t.grad if t.grad is not None else np.zeros_like(t.value) for t in leaves
-    ]

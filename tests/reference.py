@@ -7,7 +7,10 @@ the tape oracles :func:`composite_similarity_t` and
 :func:`composite_asl_t`.  They build the mixture similarity and the
 asymmetric loss from elementary tape ops, so that the tape differentiates
 them, as oracles for the gradients of the fused
-``losses.similarity_matrix_t`` and ``losses.asl_loss_t``.
+``losses.similarity_matrix_t`` and ``losses.asl_loss_t``.  The tape tools
+they and the tests need, but the package does not (:func:`pow_const`,
+:func:`relu`, :func:`grads_of` and :func:`finite_diff_check`), live here
+too.
 """
 
 from __future__ import annotations
@@ -79,13 +82,82 @@ def naive_correlation(p, q) -> float:
     )
 
 
+# -- tape tools: ops and gradient checks that only the oracles and tests use
+
+
+def pow_const(a, exponent: float):
+    """``a`` raised to a fixed scalar exponent.
+
+    ``exponent == 0`` is treated as the constant 1 with zero gradient, so
+    focusing factors switched off in a config do not inject 0*inf terms.
+    """
+    exponent = float(exponent)
+    if exponent == 0.0:
+        out = np.ones_like(a.value)
+        return tape.node("pow", out, (a,), lambda g: (np.zeros_like(a.value),))
+    out = np.power(a.value, exponent)
+
+    def bw(g):
+        return (g * exponent * np.power(a.value, exponent - 1.0),)
+
+    return tape.node("pow", out, (a,), bw)
+
+
+def relu(a):
+    mask = a.value > 0
+    return tape.node("relu", np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+
+
+def grads_of(loss, leaves):
+    """Run backward and return gradients for ``leaves`` (zeros if unused)."""
+    tape.backward(loss)
+    return [
+        t.grad if t.grad is not None else np.zeros_like(t.value) for t in leaves
+    ]
+
+
+def finite_diff_check(params, loss_fn, step: float = 1e-5) -> float:
+    """Worst-case relative error of tape gradients vs central differences.
+
+    ``loss_fn`` maps a dict of Tensors (same keys as ``params``) to a
+    scalar Tensor and must be pure.  Every scalar parameter is perturbed
+    in both directions; the relative error uses denominator
+    max(|analytic|, |numeric|, 1e-8).
+    """
+    if not step > 0.0:
+        raise InputError("step must be positive")
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    analytic_grads = dict(
+        zip(leaves, grads_of(loss_fn(leaves), list(leaves.values())))
+    )
+
+    def value_at(values) -> float:
+        out = loss_fn({k: tape.constant(v) for k, v in values.items()})
+        return float(out.value)
+
+    worst = 0.0
+    for name, base in params.items():
+        flat = np.asarray(base, dtype=np.float64).ravel()
+        for idx in range(flat.size):
+            perturbed = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+            perturbed[name].ravel()[idx] = flat[idx] + step
+            hi = value_at(perturbed)
+            perturbed[name].ravel()[idx] = flat[idx] - step
+            lo = value_at(perturbed)
+            numeric = (hi - lo) / (2.0 * step)
+            analytic = float(analytic_grads[name].ravel()[idx])
+            denom = max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
+
+
 def _pairwise_cross(w_a, m_a, v_a, w_b, m_b, v_b, dim, shape_a, shape_b, reduce_axes):
     """Closed-form sum_k sum_l w w' integral(N N') with tensors, any broadcast layout."""
     va = tape.reshape(v_a, shape_a)
     vb = tape.reshape(v_b, shape_b)
     total_var = va + vb
     delta = tape.reshape(m_a, shape_a) - tape.reshape(m_b, shape_b)
-    pair = tape.pow_const(total_var * (2.0 * np.pi), -0.5 * dim) * tape.exp(
+    pair = pow_const(total_var * (2.0 * np.pi), -0.5 * dim) * tape.exp(
         (delta * delta) * (-0.5 * dim) / total_var
     )
     w_outer = tape.reshape(w_a, shape_a) * tape.reshape(w_b, shape_b)
@@ -133,10 +205,10 @@ def composite_asl_t(probabilities, labels, cfg):
     # Masked-out branches are pinned to safe constants so the dead side
     # never produces log(0) that would poison the live side via 0 * inf.
     p_pos = tape.where(pos_mask, probs, tape.constant(np.full(y.shape, 0.5)))
-    pos_term = tape.pow_const(1.0 - p_pos, cfg.gamma_pos) * tape.log(p_pos)
-    shifted = tape.relu(probs - cfg.margin)
+    pos_term = pow_const(1.0 - p_pos, cfg.gamma_pos) * tape.log(p_pos)
+    shifted = relu(probs - cfg.margin)
     p_neg = tape.where(~pos_mask, shifted, tape.constant(np.zeros(y.shape)))
-    neg_term = tape.pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
+    neg_term = pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
     gated = tape.where(pos_mask, pos_term, neg_term)
     return -tape.tsum(gated)
 

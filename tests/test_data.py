@@ -1,4 +1,4 @@
-"""Synthetic data generator, augmentations, and dataset container tests.
+"""Synthetic data generator, augmentation and contrastive batch tests.
 
 The label sampler is checked against an exhaustive enumeration oracle:
 the sequential conditional law is small enough to integrate exactly over
@@ -14,15 +14,12 @@ import pytest
 
 from mixcon.data import (
     AugmentConfig,
-    ContrastiveBatch,
     SyntheticDatasetConfig,
     augment,
     conditional_coefficients,
     correlated_cooccurrence,
     generate_synthetic,
-    load_dataset,
     make_contrastive_batch,
-    save_dataset,
     splitmix64,
 )
 from mixcon.errors import InputError
@@ -262,76 +259,17 @@ class TestContrastiveBatch:
         labels[:, 0] = 1
         batch = make_contrastive_batch(feats, labels, seed=99)
         assert batch.views.shape == (10, 6)
-        assert np.array_equal(batch.origin, np.repeat(np.arange(5), 2))
         assert np.array_equal(batch.labels, np.repeat(labels, 2, axis=0))
-        direct = augment(feats[2], splitmix64(99, 4))
-        assert np.array_equal(batch.views[4], direct)
+        # Views 4 and 5 are the two views of sample 2, each from its own stream.
+        assert np.array_equal(batch.views[4], augment(feats[2], splitmix64(99, 4)))
+        assert np.array_equal(batch.views[5], augment(feats[2], splitmix64(99, 5)))
         assert not np.array_equal(batch.views[4], batch.views[5])
-
-    def test_invariant_violations_raise(self):
-        views = np.zeros((4, 3))
-        labels = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
-        origin = np.array([0, 0, 1, 1])
-        ContrastiveBatch(views, labels, origin)
-        with pytest.raises(InputError):
-            ContrastiveBatch(views, labels, np.array([0, 1, 1, 0]))
-        bad_labels = labels.copy()
-        bad_labels[1] = [0, 1]
-        with pytest.raises(InputError):
-            ContrastiveBatch(views, bad_labels, origin)
-        with pytest.raises(InputError):
-            ContrastiveBatch(np.zeros((3, 3)), labels[:3], origin[:3])
 
     def test_input_validation(self):
         with pytest.raises(InputError):
             make_contrastive_batch(np.zeros((0, 3)), np.zeros((0, 2)), 0)
         with pytest.raises(InputError):
             make_contrastive_batch(np.zeros((3, 3)), np.zeros((2, 2)), 0)
-
-
-class TestDatasetFile:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        cfg = SyntheticDatasetConfig(12, 3, 5, independent_matrix(3, 0.4), seed=4)
-        features, labels = generate_synthetic(cfg)
-        path = tmp_path / "data.txt"
-        save_dataset(path, features, labels, {"config_hash": "abc", "seed": 4})
-        f2, l2, header = load_dataset(path)
-        assert f2.tobytes() == features.tobytes()
-        assert np.array_equal(l2, labels)
-        assert header == {"config_hash": "abc", "seed": 4}
-
-    def test_rejects_malformed_files(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a dataset\n")
-        with pytest.raises(InputError):
-            load_dataset(path)
-        path.write_text("# mixcon-dataset v1 {}\n0.5 0.5 no-bits-separator\n")
-        with pytest.raises(InputError):
-            load_dataset(path)
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "# mixcon-dataset v1 {not json\n0.5 0.5|01\n",
-            "# mixcon-dataset v1 {}\n0.5 abc|01\n",
-            "# mixcon-dataset v1 {}\n0.5 0.5|0x\n",
-            "# mixcon-dataset v1 {}\n0.5 0.5|02\n",
-            "# mixcon-dataset v1 {}\n0.5 0.5|01\n0.5|01\n",
-            "# mixcon-dataset v1 {}\n0.5 0.5|01\n0.5 0.5|1\n",
-        ],
-        ids=["header-json", "feature-token", "label-letter", "label-digit", "ragged-features", "ragged-labels"],
-    )
-    def test_bad_values_raise_input_error(self, tmp_path, body):
-        path = tmp_path / "bad.txt"
-        path.write_text(body)
-        with pytest.raises(InputError):
-            load_dataset(path)
-
-    def test_non_utf8_file_raises_input_error(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_bytes(b"# mixcon-dataset v1 {}\n0.5\xff|1\n")
-        with pytest.raises(InputError):
-            load_dataset(path)
 
 
 class TestSplitmix:

@@ -79,7 +79,7 @@ def test_asl_config_defaults_and_validation():
 def test_nll_standard_normal_fixture():
     w, m, v, z = leaves([[1.0]], [[0.0]], [[1.0]], np.zeros((1, 2)))
     loss = nll_loss_t(w, m, v, z)
-    gw, _, _, gz = tape.grads_of(loss, [w, m, v, z])
+    gw, _, _, gz = reference.grads_of(loss, [w, m, v, z])
     assert float(loss.value) == pytest.approx(math.log(2.0 * math.pi), rel=1e-12)
     assert gw.shape == (1, 1) and gz.shape == (1, 2)
 
@@ -104,7 +104,7 @@ def test_nll_matches_reference_and_gradient_matches_fd():
 
     step = 1e-6
     blocks = {"w": w, "m": m, "v": v, "z": z}
-    grad_of = dict(zip(blocks, tape.grads_of(loss, [tw, tm, tv, tz])))
+    grad_of = dict(zip(blocks, reference.grads_of(loss, [tw, tm, tv, tz])))
 
     def run(overrides):
         merged = {**blocks, **overrides}
@@ -240,7 +240,7 @@ def test_pcl_disjoint_labels_is_exactly_zero():
     tw, tm, tv = leaves(w, m, v)
     loss = pcl_loss_t(tw, tm, tv, labels, 2, ContrastiveLossConfig(alpha=0.5))
     assert float(loss.value) == 0.0
-    (grad_means,) = tape.grads_of(loss, [tm])
+    (grad_means,) = reference.grads_of(loss, [tm])
     np.testing.assert_array_equal(grad_means, np.zeros_like(m))
 
 
@@ -318,7 +318,7 @@ def test_pcl_gradient_matches_finite_differences():
     labels = random_labels(rng, 4, 3)
     cfg = ContrastiveLossConfig()
     tw, tm, tv = leaves(w, m, v)
-    grads = tape.grads_of(pcl_loss_t(tw, tm, tv, labels, 2, cfg), [tw, tm, tv])
+    grads = reference.grads_of(pcl_loss_t(tw, tm, tv, labels, 2, cfg), [tw, tm, tv])
     step = 1e-6
     for arr, grad, name in zip((w, m, v), grads, "wmv"):
         idx = (1, 0)
@@ -381,7 +381,7 @@ def test_total_loss_gradient_is_linear_combination():
         tw, tm, tv = leaves(w, m, v)
         nll = nll_loss_t(tw, tm, tv, tape.constant(z))
         pcl = pcl_loss_t(tw, tm, tv, labels, 2, cfg)
-        return tape.grads_of(objective(nll, pcl), [tw])[0].copy()
+        return reference.grads_of(objective(nll, pcl), [tw])[0].copy()
 
     gw_total = weight_grad(lambda nll, pcl: nll + pcl * lam)
     g_nll = weight_grad(lambda nll, pcl: nll)
@@ -422,7 +422,7 @@ def test_asl_clipped_negatives_have_zero_value_and_gradient():
     cfg = AslConfig()  # margin 0.05
     probs = tape.leaf(np.array([0.01, 0.05, 0.2]))
     labels = np.array([0, 0, 0])
-    (grad,) = tape.grads_of(asl_loss_t(probs, labels, cfg), [probs])
+    (grad,) = reference.grads_of(asl_loss_t(probs, labels, cfg), [probs])
     below, at_margin, above = grad
     assert below == 0.0 and at_margin == 0.0
     assert above != 0.0
@@ -448,6 +448,25 @@ def test_asl_infinite_loss_surfaces_as_numeric_error():
         tape.backward(loss)
 
 
+def test_asl_gradient_at_a_certain_positive_is_its_limit():
+    """With 0 < gamma_pos < 1, the focusing term's derivative at p = 1 is
+    0 * inf as written; its limit, 0, is what backward must report."""
+    cfg = AslConfig(gamma_pos=0.5)
+    probs, labels = np.array([[1.0, 0.3]]), np.array([[1, 0]])
+    leaf = tape.leaf(probs)
+    (grad,) = reference.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
+    assert grad[0, 0] == 0.0
+    step = 1e-6
+    hi, lo = probs.copy(), probs.copy()
+    hi[0, 1] += step
+    lo[0, 1] -= step
+    numeric = (
+        float(asl_loss_t(tape.constant(hi), labels, cfg).value)
+        - float(asl_loss_t(tape.constant(lo), labels, cfg).value)
+    ) / (2 * step)
+    assert grad[0, 1] == pytest.approx(numeric, rel=1e-6)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_asl_gradient_matches_finite_differences(seed):
@@ -456,7 +475,7 @@ def test_asl_gradient_matches_finite_differences(seed):
     labels = (rng.random(4) < 0.5).astype(int)
     cfg = AslConfig(gamma_pos=1.0, gamma_neg=4.0, margin=0.05)
     leaf = tape.leaf(probs)
-    (grad,) = tape.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
+    (grad,) = reference.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
     step = 1e-6
     for i in range(4):
         if abs(probs[i] - cfg.margin) < 10 * step:

@@ -10,7 +10,9 @@ from mixcon.config import OptimConfig
 from mixcon.errors import InputError
 from mixcon.losses import ContrastiveLossConfig, nll_loss_t, pcl_loss_t
 from mixcon.model import ModelConfig, encoder_forward_t, init_params, mdn_forward_t
-from mixcon.optim import adam_step, finite_diff_check, init_adam, one_cycle_lr
+from mixcon.optim import adam_step, init_adam, one_cycle_lr
+
+from reference import finite_diff_check
 
 
 def test_adam_zero_gradients_leave_fresh_params_unchanged():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from mixcon.errors import InputError
 from mixcon.overlap import (
     MEASURES,
-    cosine,
-    jaccard,
     overlap_matrix,
     positive_mask,
     positive_pair_count,
@@ -24,56 +22,61 @@ def all_nonzero_vectors(c):
     return [np.array(bits) for bits in itertools.product((0, 1), repeat=c) if any(bits)]
 
 
-# -- scalar measures -------------------------------------------------------
+# -- measures, checked through the matrix against the scalar reference ----------
+
+
+NAIVE = {"jaccard": reference.naive_jaccard, "cosine": reference.naive_cosine}
 
 
 def test_identity_and_disjoint_fixtures():
-    a = np.array([1, 1, 0])
-    assert jaccard(a, a) == 1.0
-    assert cosine(a, a) == 1.0
-    b = np.array([0, 0, 1])
-    assert jaccard(a, b) == 0.0
-    assert cosine(a, b) == 0.0
+    a, b = [1, 1, 0], [0, 0, 1]
+    for measure in MEASURES:
+        d = overlap_matrix(np.array([a, a, b]), measure)
+        assert d[0, 1] == 1.0
+        assert d[0, 2] == 0.0
 
 
 def test_hand_fixture_values():
-    a, b = np.array([1, 1, 0]), np.array([1, 0, 1])
+    labels = np.array([[1, 1, 0], [1, 0, 1]])
     # Intersection 1, union 3.
-    assert jaccard(a, b) == pytest.approx(1.0 / 3.0, abs=0)
+    assert overlap_matrix(labels, "jaccard")[0, 1] == pytest.approx(1.0 / 3.0, abs=0)
     # 1 / (sqrt(2) * sqrt(2)).
-    assert cosine(a, b) == pytest.approx(0.5, abs=0)
+    assert overlap_matrix(labels, "cosine")[0, 1] == pytest.approx(0.5, abs=0)
 
 
 def test_all_zero_convention_and_validation():
-    z = np.zeros(3, dtype=int)
-    assert jaccard(z, z) == 0.0
-    assert cosine(z, np.array([1, 0, 1])) == 0.0
+    labels = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 1]])
+    for measure in MEASURES:
+        d = overlap_matrix(labels, measure)
+        assert d[0, 0] == d[0, 1] == d[0, 2] == d[2, 0] == 0.0
+        assert d[2, 2] == 1.0
     with pytest.raises(InputError):
-        jaccard(np.array([1, 0]), np.array([1, 0, 1]))
+        overlap_matrix(np.array([1, 0, 1]))
     with pytest.raises(InputError):
-        cosine(np.array([1, 2]), np.array([1, 0]))
+        overlap_matrix(np.array([[1, 2], [1, 0]]), "cosine")
 
 
 def test_measures_match_naive_reference_exhaustively():
-    for a in all_nonzero_vectors(4):
-        for b in all_nonzero_vectors(4):
-            assert jaccard(a, b) == pytest.approx(reference.naive_jaccard(a, b), abs=0)
-            assert cosine(a, b) == pytest.approx(reference.naive_cosine(a, b), abs=1e-15)
+    vectors = all_nonzero_vectors(4)
+    jac = overlap_matrix(np.stack(vectors), "jaccard")
+    cos = overlap_matrix(np.stack(vectors), "cosine")
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            assert jac[i, j] == pytest.approx(reference.naive_jaccard(a, b), abs=0)
+            assert cos[i, j] == pytest.approx(reference.naive_cosine(a, b), abs=1e-15)
 
 
 def test_jaccard_never_exceeds_cosine():
-    for a in all_nonzero_vectors(4):
-        for b in all_nonzero_vectors(4):
-            assert jaccard(a, b) <= cosine(a, b) + 1e-15
+    stack = np.stack(all_nonzero_vectors(4))
+    assert np.all(overlap_matrix(stack, "jaccard") <= overlap_matrix(stack, "cosine") + 1e-15)
 
 
 def test_resolve_measure():
-    """Measure names resolve to their scalar functions; unknown names fail."""
-    assert MEASURES["jaccard"] is jaccard
-    assert MEASURES["cosine"] is cosine
+    """Measure names select their formula; unknown names fail."""
+    assert MEASURES == ("jaccard", "cosine")
     labels = np.array([[1, 0], [1, 1]])
-    assert overlap_matrix(labels, "jaccard")[0, 1] == jaccard(labels[0], labels[1])
-    assert overlap_matrix(labels, "cosine")[0, 1] == cosine(labels[0], labels[1])
+    for measure in MEASURES:
+        assert overlap_matrix(labels, measure)[0, 1] == NAIVE[measure](labels[0], labels[1])
     with pytest.raises(InputError):
         overlap_matrix(labels, "hamming")
 
@@ -85,11 +88,11 @@ def test_overlap_matrix_agrees_with_scalar_calls_bitwise():
     rng = np.random.default_rng(8)
     labels = (rng.random((7, 5)) < 0.4).astype(int)
     labels[labels.sum(axis=1) == 0, 0] = 1
-    for name, fn in (("jaccard", jaccard), ("cosine", cosine)):
-        d = overlap_matrix(labels, name)
+    for measure in MEASURES:
+        d = overlap_matrix(labels, measure)
         for i in range(7):
             for j in range(7):
-                assert d[i, j] == fn(labels[i], labels[j])
+                assert d[i, j] == NAIVE[measure](labels[i], labels[j])
 
 
 def test_overlap_matrix_rejects_callable():

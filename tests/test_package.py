@@ -1,6 +1,8 @@
 """Stale-import guard: the public namespace and every script still load,
-and importing the package pulls in no test-only dependency."""
+importing the package pulls in no test-only dependency, and no public
+function or class exists only for the tests."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,12 +14,41 @@ import mixcon
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted(p for p in (ROOT / "src" / "mixcon").glob("*.py") if p.name != "__init__.py")
+
+
+def unreferenced_public_definitions(paths):
+    """Public module-level defs and classes of the package modules in
+    ``paths`` that no name, attribute or import in ``paths`` refers to."""
+    defined, used = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "mixcon":
+            defined.update(
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(defined - used)
 
 
 def test_every_public_name_resolves():
     missing = [name for name in mixcon.__all__ if not hasattr(mixcon, name)]
     assert missing == []
     assert len(set(mixcon.__all__)) == len(mixcon.__all__)
+
+
+def test_every_public_definition_serves_the_program():
+    # __init__.py only re-exports, so an import there is not a use.
+    assert MODULES
+    assert unreferenced_public_definitions(MODULES + SCRIPTS) == []
 
 
 def test_import_loads_no_test_dependency():
