@@ -17,7 +17,6 @@ from .config import (
 from .data import (
     AugmentConfig,
     ContrastiveBatch,
-    SyntheticDatasetConfig,
     augment,
     generate_synthetic,
     make_contrastive_batch,
@@ -51,7 +50,6 @@ __all__ = [
     "NumericError",
     "OptimConfig",
     "PredictionSet",
-    "SyntheticDatasetConfig",
     "ablate",
     "asl_loss_t",
     "augment",

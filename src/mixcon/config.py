@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .data import AugmentConfig, SyntheticDatasetConfig, correlated_cooccurrence
+from .data import AugmentConfig, correlated_cooccurrence
 from .errors import InputError
 from .losses import AslConfig, ContrastiveLossConfig
 from .model import ModelConfig
@@ -36,20 +36,10 @@ class DataConfig:
             raise InputError("num_samples must be >= 8")
         if not 0.0 < self.holdout_frac < 1.0:
             raise InputError("holdout_frac must lie in (0, 1)")
+        if self.noise_scale < 0.0:
+            raise InputError("noise_scale must be >= 0")
         # marginal/boost ranges are enforced by correlated_cooccurrence.
         correlated_cooccurrence(self.num_classes, self.marginal, self.boost)
-
-    def synthetic_config(self, seed: int) -> SyntheticDatasetConfig:
-        return SyntheticDatasetConfig(
-            num_samples=self.num_samples,
-            num_classes=self.num_classes,
-            input_dim=self.input_dim,
-            cooccurrence=correlated_cooccurrence(
-                self.num_classes, self.marginal, self.boost
-            ),
-            noise_scale=self.noise_scale,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)

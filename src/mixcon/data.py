@@ -18,10 +18,14 @@ so adding a consumer never shifts another's draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, NumericError
+
+if TYPE_CHECKING:
+    from .config import DataConfig
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,50 +63,6 @@ class AugmentConfig:
             raise InputError("dropout_prob must lie in [0, 1)")
         if not 0.0 <= self.scale_jitter < 1.0:
             raise InputError("scale_jitter must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SyntheticDatasetConfig:
-    num_samples: int
-    num_classes: int
-    input_dim: int
-    cooccurrence: np.ndarray
-    prototypes: np.ndarray | None = None
-    noise_scale: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        matrix = np.asarray(self.cooccurrence, dtype=np.float64)
-        object.__setattr__(self, "cooccurrence", matrix)
-        if self.num_samples < 1 or self.num_classes < 1 or self.input_dim < 1:
-            raise InputError("num_samples, num_classes and input_dim must be >= 1")
-        c = self.num_classes
-        if matrix.shape != (c, c):
-            raise InputError(f"cooccurrence must be ({c}, {c})")
-        if not np.all(np.isfinite(matrix)):
-            raise NumericError("non-finite co-occurrence entries")
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
-            raise InputError("co-occurrence entries must lie in [0, 1]")
-        if not np.array_equal(matrix, matrix.T):
-            raise InputError("co-occurrence matrix must be symmetric")
-        marginals = np.diag(matrix)
-        for a in range(c):
-            for b in range(a + 1, c):
-                if matrix[a, b] > min(marginals[a], marginals[b]) + 1e-12:
-                    raise InputError(
-                        f"pair probability ({a},{b}) exceeds a marginal: infeasible"
-                    )
-                if matrix[a, b] < max(0.0, marginals[a] + marginals[b] - 1.0) - 1e-12:
-                    raise InputError(
-                        f"pair probability ({a},{b}) below the feasible lower bound"
-                    )
-        if self.noise_scale < 0.0:
-            raise InputError("noise_scale must be >= 0")
-        if self.prototypes is not None:
-            protos = np.asarray(self.prototypes, dtype=np.float64)
-            if protos.shape != (c, self.input_dim):
-                raise InputError(f"prototypes must be ({c}, {self.input_dim})")
-            object.__setattr__(self, "prototypes", protos)
 
 
 @dataclass(frozen=True)
@@ -146,16 +106,18 @@ def _draw_labels(rng, coeffs, rows: int, num_classes: int) -> np.ndarray:
     return labels
 
 
-def generate_synthetic(cfg: SyntheticDatasetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Features (N, d) and labels (N, C) drawn deterministically from cfg.
+def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features (N, d) and labels (N, C) drawn deterministically from cfg and seed.
 
     Post-processing guards: rows that come out all-zero are redrawn
-    (which conditions the label law on >= 1 active class), and any
-    positive-marginal class absent from the whole sample has one row
-    force-set (a rare O(C/N) bias that keeps every class learnable).
+    (which conditions the label law on >= 1 active class), and any class
+    absent from the whole sample has one row force-set (a rare O(C/N)
+    bias that keeps every class learnable).  The prototypes are drawn as
+    one (C, d) block, so they do not depend on ``num_samples``.
     """
-    rng_labels = np.random.default_rng(splitmix64(cfg.seed, STREAM_LABELS))
-    coeffs = conditional_coefficients(cfg.cooccurrence)
+    matrix = correlated_cooccurrence(cfg.num_classes, cfg.marginal, cfg.boost)
+    rng_labels = np.random.default_rng(splitmix64(seed, STREAM_LABELS))
+    coeffs = conditional_coefficients(matrix)
     labels = _draw_labels(rng_labels, coeffs, cfg.num_samples, cfg.num_classes)
     for _ in range(1000):
         zero_rows = np.flatnonzero(labels.sum(axis=1) == 0)
@@ -164,18 +126,14 @@ def generate_synthetic(cfg: SyntheticDatasetConfig) -> tuple[np.ndarray, np.ndar
         labels[zero_rows] = _draw_labels(rng_labels, coeffs, zero_rows.size, cfg.num_classes)
     else:
         raise InputError("could not draw nonzero label vectors; marginals too small")
-    marginals = np.diag(cfg.cooccurrence)
     for c in range(cfg.num_classes):
-        if marginals[c] > 0.0 and labels[:, c].sum() == 0:
-            row = splitmix64(cfg.seed, STREAM_BALANCE + 10 * c) % cfg.num_samples
+        if labels[:, c].sum() == 0:
+            row = splitmix64(seed, STREAM_BALANCE + 10 * c) % cfg.num_samples
             labels[row, c] = 1
-    if cfg.prototypes is not None:
-        prototypes = cfg.prototypes
-    else:
-        rng_proto = np.random.default_rng(splitmix64(cfg.seed, STREAM_PROTOTYPES))
-        prototypes = rng_proto.standard_normal((cfg.num_classes, cfg.input_dim))
-        prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
-    rng_noise = np.random.default_rng(splitmix64(cfg.seed, STREAM_NOISE))
+    rng_proto = np.random.default_rng(splitmix64(seed, STREAM_PROTOTYPES))
+    prototypes = rng_proto.standard_normal((cfg.num_classes, cfg.input_dim))
+    prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    rng_noise = np.random.default_rng(splitmix64(seed, STREAM_NOISE))
     features = labels.astype(np.float64) @ prototypes
     features += cfg.noise_scale * rng_noise.standard_normal(
         (cfg.num_samples, cfg.input_dim)

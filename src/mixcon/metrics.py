@@ -93,16 +93,12 @@ def average_precision(scores, truths) -> float:
         raise NumericError("non-finite scores")
     if not np.isin(truths, (0, 1)).all():
         raise InputError("truths must be binary")
-    order = np.argsort(-scores, kind="stable")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(order, start=1):
-        if truths[idx]:
-            hits += 1
-            precisions.append(hits / rank)
-    if not precisions:
+    hit = truths[np.argsort(-scores, kind="stable")] == 1
+    if not hit.any():
         return float("nan")
-    return math.fsum(precisions) / len(precisions)
+    # Hits so far over 1-based rank at each hit: exact integer quotients.
+    precisions = np.cumsum(hit)[hit] / (np.flatnonzero(hit) + 1)
+    return math.fsum(precisions) / precisions.size
 
 
 def pr_f1_report(preds: PredictionSet, threshold: float = 0.5) -> MetricsReport:

@@ -22,7 +22,6 @@ from scipy.integrate import quad
 
 import acceptance_log
 from mixcon.config import DataConfig, ExperimentConfig, OptimConfig
-from mixcon.data import generate_synthetic
 from mixcon.errors import InputError
 from mixcon.losses import (
     AslConfig,

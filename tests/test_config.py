@@ -99,6 +99,7 @@ def test_optim_validation():
         ("model", "encoder_hidden", ["x"]),
         ("loss", "measure", ["jaccard"]),
         ("data", "num_samples", "many"),
+        ("data", "noise_scale", -1.0),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):

@@ -11,10 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixcon.config import DataConfig
 from mixcon.data import (
+    STREAM_PROTOTYPES,
     AugmentConfig,
-    SyntheticDatasetConfig,
     augment,
     conditional_coefficients,
     correlated_cooccurrence,
@@ -51,61 +54,66 @@ def marginal_probability(law, a):
     return math.fsum(p for bits, p in law.items() if bits[a])
 
 
-def independent_matrix(num_classes, marginal):
-    m = np.full((num_classes, num_classes), marginal * marginal)
-    np.fill_diagonal(m, marginal)
-    return m
+def data_cfg(num_samples, num_classes, input_dim, marginal=0.5, boost=0.0, **kw):
+    """A dataset recipe; boost 0 gives independent pairs at ``marginal``."""
+    return DataConfig(
+        num_samples=num_samples,
+        num_classes=num_classes,
+        input_dim=input_dim,
+        marginal=marginal,
+        boost=boost,
+        **kw,
+    )
 
 
 class TestConfigValidation:
     def test_pair_above_marginal_rejected(self):
-        m = independent_matrix(2, 0.5)
-        m[0, 1] = m[1, 0] = 0.6
+        # boost 1.2 would put the boosted pair at 0.55, above the marginal 0.5.
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 2, 4, m)
+            data_cfg(10, 2, 4, marginal=0.5, boost=1.2)
 
     def test_pair_below_frechet_bound_rejected(self):
-        m = independent_matrix(2, 0.9)
-        m[0, 1] = m[1, 0] = 0.7
+        # boost -0.2 would put the pair at 0.792, below the bound 2 * 0.9 - 1.
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 2, 4, m)
-
-    def test_asymmetric_rejected(self):
-        m = independent_matrix(2, 0.5)
-        m[0, 1] = 0.2
-        with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 2, 4, m)
+            data_cfg(10, 2, 4, marginal=0.9, boost=-0.2)
 
     def test_shape_and_range_rejected(self):
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 3, 4, independent_matrix(2, 0.5))
-        bad = independent_matrix(2, 0.5)
-        bad[0, 0] = 1.5
+            data_cfg(7, 2, 4)
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 2, 4, bad)
+            data_cfg(10, 2, 4, marginal=0.0)
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(10, 2, 4, independent_matrix(2, 0.5), noise_scale=-1.0)
+            data_cfg(10, 2, 4, marginal=1.0)
         with pytest.raises(InputError):
-            SyntheticDatasetConfig(0, 2, 4, independent_matrix(2, 0.5))
+            data_cfg(10, 2, 4, noise_scale=-1.0)
 
-    def test_prototype_shape_rejected(self):
-        with pytest.raises(InputError):
-            SyntheticDatasetConfig(
-                10, 2, 4, independent_matrix(2, 0.5), prototypes=np.zeros((2, 3))
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 8),
+        marginal=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        boost=st.floats(0.0, 1.0),
+    )
+    def test_closed_form_matrix_is_symmetric_and_feasible(self, c, marginal, boost):
+        m = correlated_cooccurrence(c, marginal, boost)
+        assert m.shape == (c, c)
+        assert np.array_equal(m, m.T)
+        assert np.all(np.diag(m) == marginal)
+        lower = max(0.0, 2.0 * marginal - 1.0)
+        off = m[~np.eye(c, dtype=bool)]
+        assert np.all(off <= marginal * (1.0 + 1e-12))
+        assert np.all(off >= lower - 1e-12)
 
 
 class TestLabelLaw:
     def test_two_class_conditional_pair_is_one_third(self):
         # Independent marginals 0.5 give raw pair probability 0.25; after
         # conditioning away the all-zero row it is exactly 1/3.
-        law = enumerated_conditional(independent_matrix(2, 0.5))
+        law = enumerated_conditional(correlated_cooccurrence(2, 0.5, 0.0))
         assert pair_probability(law, 0, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_two_class_empirical_matches_enumeration(self):
         n = 20000
-        cfg = SyntheticDatasetConfig(n, 2, 4, independent_matrix(2, 0.5), seed=7)
-        _, labels = generate_synthetic(cfg)
+        _, labels = generate_synthetic(data_cfg(n, 2, 4), seed=7)
         target = 1.0 / 3.0
         freq = np.mean(labels[:, 0] & labels[:, 1])
         sigma = math.sqrt(target * (1.0 - target) / n)
@@ -116,21 +124,18 @@ class TestLabelLaw:
         # With 8 classes the all-zero row has mass 2^-8, so conditioning
         # barely moves the pair frequency off the raw 0.25 target.
         n = 20000
-        law = enumerated_conditional(independent_matrix(8, 0.5))
+        law = enumerated_conditional(correlated_cooccurrence(8, 0.5, 0.0))
         target = pair_probability(law, 0, 1)
         assert abs(target - 0.25) < 2e-3
-        cfg = SyntheticDatasetConfig(n, 8, 6, independent_matrix(8, 0.5), seed=3)
-        _, labels = generate_synthetic(cfg)
+        _, labels = generate_synthetic(data_cfg(n, 8, 6), seed=3)
         freq = np.mean(labels[:, 0] & labels[:, 3])
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(freq - 0.25) < 3.5 * sigma
 
     def test_correlated_pairs_beat_independent_pairs(self):
         n = 20000
-        matrix = correlated_cooccurrence(4, marginal=0.35, boost=0.5)
-        law = enumerated_conditional(matrix)
-        cfg = SyntheticDatasetConfig(n, 4, 8, matrix, seed=11)
-        _, labels = generate_synthetic(cfg)
+        law = enumerated_conditional(correlated_cooccurrence(4, marginal=0.35, boost=0.5))
+        _, labels = generate_synthetic(data_cfg(n, 4, 8, marginal=0.35, boost=0.5), seed=11)
         boosted = np.mean(labels[:, 0] & labels[:, 1])
         cross = np.mean(labels[:, 0] & labels[:, 2])
         target_boosted = pair_probability(law, 0, 1)
@@ -142,56 +147,41 @@ class TestLabelLaw:
 
     def test_marginals_match_enumeration(self):
         n = 20000
-        matrix = correlated_cooccurrence(4, marginal=0.35, boost=0.5)
-        law = enumerated_conditional(matrix)
-        cfg = SyntheticDatasetConfig(n, 4, 8, matrix, seed=5)
-        _, labels = generate_synthetic(cfg)
+        law = enumerated_conditional(correlated_cooccurrence(4, marginal=0.35, boost=0.5))
+        _, labels = generate_synthetic(data_cfg(n, 4, 8, marginal=0.35, boost=0.5), seed=5)
         for c in range(4):
             target = marginal_probability(law, c)
             sigma = math.sqrt(target * (1.0 - target) / n)
             assert abs(labels[:, c].mean() - target) < 3.5 * sigma
 
     def test_rare_class_gets_injected(self):
-        m = independent_matrix(2, 0.5)
-        m[1, 1] = 0.002
-        m[0, 1] = m[1, 0] = 0.001
+        # Eight rows cannot carry six classes at marginal 0.02 unaided: the
+        # redraw leaves about one label per row, so absent classes are forced.
         for seed in range(5):
-            cfg = SyntheticDatasetConfig(50, 2, 4, m, seed=seed)
-            _, labels = generate_synthetic(cfg)
-            assert labels[:, 1].sum() >= 1
+            _, labels = generate_synthetic(data_cfg(8, 6, 4, marginal=0.02), seed=seed)
+            assert np.all(labels.sum(axis=0) >= 1)
             assert not np.any(labels.sum(axis=1) == 0)
 
-    def test_zero_marginal_class_stays_absent(self):
-        m = independent_matrix(2, 0.5)
-        m[1, 1] = 0.0
-        m[0, 1] = m[1, 0] = 0.0
-        cfg = SyntheticDatasetConfig(100, 2, 4, m, seed=1)
-        _, labels = generate_synthetic(cfg)
-        assert labels[:, 1].sum() == 0
-
     def test_hopeless_marginals_raise(self):
-        m = independent_matrix(2, 0.5)
-        m[:] = 0.0
         with pytest.raises(InputError):
-            generate_synthetic(SyntheticDatasetConfig(10, 2, 4, m, seed=0))
+            generate_synthetic(data_cfg(10, 2, 4, marginal=1e-9), seed=0)
 
 
 class TestFeatures:
     def test_noise_free_features_are_prototype_sums(self):
-        protos = np.arange(8, dtype=np.float64).reshape(2, 4)
-        cfg = SyntheticDatasetConfig(
-            40, 2, 4, independent_matrix(2, 0.5), prototypes=protos, noise_scale=0.0, seed=2
-        )
-        features, labels = generate_synthetic(cfg)
+        seed = 2
+        features, labels = generate_synthetic(data_cfg(40, 2, 4, noise_scale=0.0), seed)
+        rng = np.random.default_rng(splitmix64(seed, STREAM_PROTOTYPES))
+        protos = rng.standard_normal((2, 4))
+        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         assert np.array_equal(features, labels.astype(np.float64) @ protos)
 
     def test_determinism_and_seed_sensitivity(self):
-        cfg = SyntheticDatasetConfig(64, 3, 6, independent_matrix(3, 0.4), seed=9)
-        fa, la = generate_synthetic(cfg)
-        fb, lb = generate_synthetic(cfg)
+        cfg = data_cfg(64, 3, 6, marginal=0.4)
+        fa, la = generate_synthetic(cfg, 9)
+        fb, lb = generate_synthetic(cfg, 9)
         assert fa.tobytes() == fb.tobytes() and la.tobytes() == lb.tobytes()
-        other = SyntheticDatasetConfig(64, 3, 6, independent_matrix(3, 0.4), seed=10)
-        fc, _ = generate_synthetic(other)
+        fc, _ = generate_synthetic(cfg, 10)
         assert fa.tobytes() != fc.tobytes()
 
 
