@@ -17,7 +17,6 @@ from .config import (
 from .data import (
     AugmentConfig,
     ContrastiveBatch,
-    augment,
     generate_synthetic,
     make_contrastive_batch,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PredictionSet",
     "ablate",
     "asl_loss_t",
-    "augment",
     "average_precision",
     "config_hash",
     "evaluate",

@@ -11,8 +11,10 @@ Gaussian noise, so label structure is linearly recoverable.
 
 All randomness flows through ``numpy.random.default_rng`` seeded by a
 splitmix64 stream discipline: every consumer (prototypes, labels, noise,
-per-view augmentations, per-epoch shuffles) gets its own derived seed,
-so adding a consumer never shifts another's draws.
+each contrastive batch's augmentation, per-epoch shuffles) gets its own
+derived seed, so adding a consumer never shifts another's draws.  A
+contrastive batch draws all of its views from one generator, so it is
+reproducible as a whole from its seed, not view by view.
 """
 
 from __future__ import annotations
@@ -160,33 +162,16 @@ def correlated_cooccurrence(num_classes: int, marginal: float = 0.35, boost: flo
     return m
 
 
-def augment(x, seed: int, cfg: AugmentConfig = AugmentConfig()) -> np.ndarray:
-    """One stochastic label-preserving view of a feature vector.
-
-    Composition: add Gaussian jitter, zero a random coordinate subset,
-    scale by a factor in [1 - scale_jitter, 1 + scale_jitter].  The three
-    draws are always consumed in this order regardless of magnitudes, so
-    disabling one knob never shifts the others' randomness.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError("augment expects a single feature vector")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite feature vector")
-    rng = np.random.default_rng(seed)
-    jitter = cfg.jitter_scale * rng.standard_normal(arr.size)
-    keep = rng.random(arr.size) >= cfg.dropout_prob
-    scale = 1.0 + cfg.scale_jitter * rng.uniform(-1.0, 1.0)
-    return scale * (keep * (arr + jitter))
-
-
 def make_contrastive_batch(
     features, labels, seed: int, cfg: AugmentConfig = AugmentConfig()
 ) -> ContrastiveBatch:
-    """Two independently augmented views per sample, labels duplicated.
+    """Two augmented views per sample, labels duplicated.
 
-    View 2i uses the derived seed for stream 2i, view 2i+1 the next one,
-    so any view's augmentation is reproducible in isolation.
+    Each view adds Gaussian jitter, zeroes a random coordinate subset and
+    scales the row by a factor in [1 - scale_jitter, 1 + scale_jitter].
+    One generator seeded with ``seed`` draws the jitter, the keep mask and
+    the scale column for all 2N views, in that order whatever the
+    magnitudes, so disabling one knob never shifts the others' randomness.
     """
     feats = np.asarray(features, dtype=np.float64)
     labs = np.asarray(labels)
@@ -194,10 +179,11 @@ def make_contrastive_batch(
         raise InputError("need at least one sample")
     if labs.shape[0] != feats.shape[0]:
         raise InputError("features and labels must align")
-    n = feats.shape[0]
-    views = np.empty((2 * n, feats.shape[1]))
-    for i in range(n):
-        views[2 * i] = augment(feats[i], splitmix64(seed, 2 * i), cfg)
-        views[2 * i + 1] = augment(feats[i], splitmix64(seed, 2 * i + 1), cfg)
+    if not np.all(np.isfinite(feats)):
+        raise NumericError("non-finite feature vector")
+    views = np.repeat(feats, 2, axis=0)
+    rng = np.random.default_rng(seed)
+    views += cfg.jitter_scale * rng.standard_normal(views.shape)
+    views *= rng.random(views.shape) >= cfg.dropout_prob
+    views *= 1.0 + cfg.scale_jitter * rng.uniform(-1.0, 1.0, (len(views), 1))
     return ContrastiveBatch(views=views, labels=np.repeat(labs, 2, axis=0))
-

@@ -19,8 +19,6 @@ from .errors import InputError
 from .overlap import MEASURES, overlap_matrix, positive_mask
 from .tape import Tensor
 
-SIM_BACKENDS = ("correlation",)
-
 
 @dataclass(frozen=True)
 class ContrastiveLossConfig:
@@ -28,15 +26,13 @@ class ContrastiveLossConfig:
 
     tau: softmax temperature; alpha: overlap threshold for positive sets;
     lam: weight of the contrastive term in the total loss; measure: label
-    overlap backend; sim: mixture similarity backend, of which the only one
-    is the closed-form correlation coefficient of ``similarity_matrix_t``.
+    overlap backend.
     """
 
     tau: float = 0.2
     alpha: float = 0.6
     lam: float = 0.3
     measure: str = "jaccard"
-    sim: str = "correlation"
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -47,11 +43,6 @@ class ContrastiveLossConfig:
             raise InputError(f"lambda must be >= 0, got {self.lam!r}")
         if self.measure not in MEASURES:
             raise InputError(f"unknown overlap measure {self.measure!r}")
-        if self.sim not in SIM_BACKENDS:
-            raise InputError(
-                f"unsupported similarity backend {self.sim!r}; "
-                f"only {SIM_BACKENDS[0]!r} is implemented"
-            )
 
 
 @dataclass(frozen=True)

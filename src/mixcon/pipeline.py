@@ -7,10 +7,12 @@ with the asymmetric loss on raw (un-augmented) features, then reports
 held-out metrics.
 
 Every derived random stream gets its own splitmix64 namespace, so the
-dataset, split, init, per-epoch shuffles and per-batch view seeds are
-all independent functions of the single experiment seed.  Artifacts
-(checkpoints, loss CSVs, metric reports) embed the config hash and seed
-and are byte-identical across reruns of the same config.
+dataset, split, init, per-epoch shuffles and the augmentation seed of
+each stage-one step are all independent functions of the single
+experiment seed; a step's whole batch of views is reproducible from
+(seed, step).  Artifacts (checkpoints, loss CSVs, metric reports) embed
+the config hash and seed and are byte-identical across reruns of the
+same config.
 """
 
 from __future__ import annotations

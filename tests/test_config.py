@@ -100,6 +100,7 @@ def test_optim_validation():
         ("loss", "measure", ["jaccard"]),
         ("data", "num_samples", "many"),
         ("data", "noise_scale", -1.0),
+        ("loss", "sim", "correlation"),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):

@@ -1,4 +1,4 @@
-"""Synthetic data generator, augmentation and contrastive batch tests.
+"""Synthetic data generator and contrastive batch augmentation tests.
 
 The label sampler is checked against an exhaustive enumeration oracle:
 the sequential conditional law is small enough to integrate exactly over
@@ -18,14 +18,13 @@ from mixcon.config import DataConfig
 from mixcon.data import (
     STREAM_PROTOTYPES,
     AugmentConfig,
-    augment,
     conditional_coefficients,
     correlated_cooccurrence,
     generate_synthetic,
     make_contrastive_batch,
     splitmix64,
 )
-from mixcon.errors import InputError
+from mixcon.errors import InputError, NumericError
 
 
 def enumerated_conditional(matrix):
@@ -185,37 +184,46 @@ class TestFeatures:
         assert fa.tobytes() != fc.tobytes()
 
 
+def batch_of(x, rows, seed, cfg):
+    """The views of a contrastive batch of ``rows`` copies of vector ``x``."""
+    feats = np.tile(x, (rows, 1))
+    return make_contrastive_batch(feats, np.ones((rows, 1), dtype=np.int64), seed, cfg).views
+
+
 class TestAugment:
     def test_zero_magnitudes_are_identity(self):
-        x = np.array([0.5, -1.25, 3.0])
-        out = augment(x, 123, AugmentConfig(0.0, 0.0, 0.0))
-        assert np.array_equal(out, x)
+        feats = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.75]])
+        batch = make_contrastive_batch(feats, np.ones((2, 1)), 123, AugmentConfig(0.0, 0.0, 0.0))
+        assert np.array_equal(batch.views, np.repeat(feats, 2, axis=0))
 
     def test_deterministic_per_seed(self):
         x = np.linspace(-1, 1, 10)
-        a = augment(x, 42)
-        b = augment(x, 42)
-        c = augment(x, 43)
+        a = batch_of(x, 3, 42, AugmentConfig())
+        b = batch_of(x, 3, 42, AugmentConfig())
+        c = batch_of(x, 3, 43, AugmentConfig())
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
 
     def test_draw_order_is_knob_independent(self):
         # Turning dropout on must not shift the jitter draws: surviving
-        # coordinates agree exactly with the dropout-free view.
+        # coordinates agree exactly with the dropout-free views.
         x = np.linspace(0.5, 2.0, 12)
-        plain = augment(x, 7, AugmentConfig(0.1, 0.0, 0.0))
-        dropped = augment(x, 7, AugmentConfig(0.1, 0.5, 0.0))
+        plain = batch_of(x, 3, 7, AugmentConfig(0.1, 0.0, 0.0))
+        dropped = batch_of(x, 3, 7, AugmentConfig(0.1, 0.5, 0.0))
         kept = dropped != 0.0
         assert np.array_equal(dropped[kept], plain[kept])
         assert np.any(~kept)
 
     def test_scale_only_changes_magnitude(self):
+        # The scale is one factor per view: constant along a row, drawn
+        # afresh for every row.
         x = np.linspace(0.5, 2.0, 12)
-        plain = augment(x, 7, AugmentConfig(0.1, 0.0, 0.0))
-        scaled = augment(x, 7, AugmentConfig(0.1, 0.0, 0.4))
+        plain = batch_of(x, 3, 7, AugmentConfig(0.1, 0.0, 0.0))
+        scaled = batch_of(x, 3, 7, AugmentConfig(0.1, 0.0, 0.4))
         ratio = scaled / plain
-        assert np.allclose(ratio, ratio[0], rtol=1e-12)
-        assert 0.6 - 1e-12 <= ratio[0] <= 1.4 + 1e-12
+        assert np.allclose(ratio, ratio[:, :1], rtol=1e-12)
+        assert np.all((0.6 - 1e-12 <= ratio) & (ratio <= 1.4 + 1e-12))
+        assert len(np.unique(ratio[:, 0])) == len(ratio)
 
     def test_displacement_second_moment_matches_oracle(self):
         # With scale jitter off, E||x' - x||^2 = (1-p) d jitter^2 + p ||x||^2:
@@ -223,18 +231,18 @@ class TestAugment:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16)
         cfg = AugmentConfig(jitter_scale=0.3, dropout_prob=0.2, scale_jitter=0.0)
-        trials = 4000
-        sq = [
-            float(np.sum((augment(x, seed, cfg) - x) ** 2))
-            for seed in range(trials)
-        ]
+        views = batch_of(x, 2000, 0, cfg)
+        sq = np.sum((views - x) ** 2, axis=1)
         expected = 0.8 * x.size * 0.3**2 + 0.2 * float(np.sum(x**2))
-        se = np.std(sq, ddof=1) / math.sqrt(trials)
+        se = np.std(sq, ddof=1) / math.sqrt(len(sq))
+        assert len(sq) == 4000
         assert abs(np.mean(sq) - expected) < 4.0 * se
 
     def test_validation(self):
         with pytest.raises(InputError):
-            augment(np.zeros((2, 2)), 0)
+            make_contrastive_batch(np.zeros(3), np.zeros((3, 1)), 0)
+        with pytest.raises(NumericError):
+            make_contrastive_batch(np.array([[0.0, np.nan]]), np.ones((1, 1)), 0)
         with pytest.raises(InputError):
             AugmentConfig(dropout_prob=1.0)
         with pytest.raises(InputError):
@@ -250,9 +258,14 @@ class TestContrastiveBatch:
         batch = make_contrastive_batch(feats, labels, seed=99)
         assert batch.views.shape == (10, 6)
         assert np.array_equal(batch.labels, np.repeat(labels, 2, axis=0))
-        # Views 4 and 5 are the two views of sample 2, each from its own stream.
-        assert np.array_equal(batch.views[4], augment(feats[2], splitmix64(99, 4)))
-        assert np.array_equal(batch.views[5], augment(feats[2], splitmix64(99, 5)))
+        # One generator draws the jitter, keep and scale blocks of all ten
+        # views, in that order; views 2i and 2i+1 augment sample i.
+        draws = np.random.default_rng(99)
+        jitter = 0.1 * draws.standard_normal((10, 6))
+        keep = draws.random((10, 6)) >= 0.1
+        scale = 1.0 + 0.1 * draws.uniform(-1.0, 1.0, (10, 1))
+        expected = scale * (keep * (np.repeat(feats, 2, axis=0) + jitter))
+        assert np.array_equal(batch.views, expected)
         assert not np.array_equal(batch.views[4], batch.views[5])
 
     def test_input_validation(self):

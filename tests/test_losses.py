@@ -60,8 +60,6 @@ def test_contrastive_config_defaults_and_validation():
         ContrastiveLossConfig(lam=-0.1)
     with pytest.raises(InputError):
         ContrastiveLossConfig(measure="hamming")
-    with pytest.raises(InputError):
-        ContrastiveLossConfig(sim="bhattacharyya")
 
 
 def test_asl_config_defaults_and_validation():

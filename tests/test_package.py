@@ -1,8 +1,10 @@
 """Stale-import guard: the public namespace and every script still load,
-importing the package pulls in no test-only dependency, and no public
-function or class exists only for the tests."""
+importing the package pulls in no test-only dependency, no public
+function or class exists only for the tests, and no config field exists
+only to be validated."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -39,6 +41,34 @@ def unreferenced_public_definitions(paths):
     return sorted(defined - used)
 
 
+def config_fields(cfg):
+    """Names of every field in the dataclass tree rooted at instance ``cfg``."""
+    names = set()
+    for field in dataclasses.fields(cfg):
+        names.add(field.name)
+        value = getattr(cfg, field.name)
+        if dataclasses.is_dataclass(value):
+            names |= config_fields(value)
+    return names
+
+
+def attributes_read_outside_validation(paths):
+    """Attribute names loaded anywhere in ``paths`` except in a ``__post_init__``."""
+    read = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    return read
+
+
 def test_every_public_name_resolves():
     missing = [name for name in mixcon.__all__ if not hasattr(mixcon, name)]
     assert missing == []
@@ -49,6 +79,15 @@ def test_every_public_definition_serves_the_program():
     # __init__.py only re-exports, so an import there is not a use.
     assert MODULES
     assert unreferenced_public_definitions(MODULES + SCRIPTS) == []
+
+
+def test_every_config_field_is_read_by_the_program():
+    # A field that only its own validation reads is a knob with no effect.
+    from mixcon.config import ExperimentConfig
+
+    fields = config_fields(ExperimentConfig())
+    unread = fields - attributes_read_outside_validation(MODULES)
+    assert unread == set()
 
 
 def test_import_loads_no_test_dependency():
