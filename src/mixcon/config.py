@@ -12,16 +12,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .data import AugmentConfig, correlated_cooccurrence
-from .errors import InputError
+from .data import AugmentConfig
+from .errors import InputError, check_ints
 from .losses import AslConfig, ContrastiveLossConfig
 from .model import ModelConfig
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    """Recipe for the synthetic dataset; the co-occurrence matrix is built
-    from (marginal, boost) so the config stays flat and JSON-friendly."""
+    """Recipe for the synthetic dataset: every class has marginal
+    ``marginal``, and ``boost`` couples each class pair (2k, 2k+1)."""
 
     num_samples: int = 2000
     num_classes: int = 6
@@ -32,14 +32,17 @@ class DataConfig:
     holdout_frac: float = 0.25
 
     def __post_init__(self):
+        check_ints("data sizes", self.num_samples, self.num_classes, self.input_dim)
         if self.num_samples < 8:
             raise InputError("num_samples must be >= 8")
         if not 0.0 < self.holdout_frac < 1.0:
             raise InputError("holdout_frac must lie in (0, 1)")
         if self.noise_scale < 0.0:
             raise InputError("noise_scale must be >= 0")
-        # marginal/boost ranges are enforced by correlated_cooccurrence.
-        correlated_cooccurrence(self.num_classes, self.marginal, self.boost)
+        if not 0.0 < self.marginal < 1.0:
+            raise InputError("marginal must lie in (0, 1)")
+        if not 0.0 <= self.boost <= 1.0:
+            raise InputError("boost must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,12 @@ class OptimConfig:
     start_factor: float = 0.04
 
     def __post_init__(self):
+        check_ints(
+            "batch size and epoch counts",
+            self.batch_size,
+            self.contrastive_epochs,
+            self.classifier_epochs,
+        )
         if self.peak_lr <= 0.0:
             raise InputError("peak_lr must be > 0")
         if self.batch_size < 2:
@@ -77,6 +86,7 @@ class ExperimentConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        check_ints("seed", self.seed)
         if self.model.input_dim != self.data.input_dim:
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:
@@ -106,21 +116,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def from_dict(payload: dict) -> ExperimentConfig:
     try:
-        model = dict(payload["model"])
-        model["encoder_hidden"] = tuple(model["encoder_hidden"])
-        model["mdn_hidden"] = tuple(model["mdn_hidden"])
         return ExperimentConfig(
             data=DataConfig(**payload["data"]),
-            model=ModelConfig(**model),
+            model=ModelConfig(**payload["model"]),
             loss=ContrastiveLossConfig(**payload["loss"]),
             asl=AslConfig(**payload["asl"]),
             optim=OptimConfig(**payload["optim"]),
             augment=AugmentConfig(**payload["augment"]),
-            seed=int(payload["seed"]),
+            seed=payload["seed"],
             threshold=float(payload["threshold"]),
         )
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed experiment config: {exc}") from exc
 

@@ -1,13 +1,13 @@
-"""Synthetic multi-label data with controllable pairwise co-occurrence.
+"""Synthetic multi-label data with correlated class pairs.
 
-Labels are drawn class by class: class c is sampled from a conditional
-probability that is linear in the already-drawn classes, with
-coefficients solved from the target covariance system.  In expectation
-this reproduces the requested marginals and pairwise frequencies as long
-as the linear conditionals stay inside [0, 1] (they are clipped
-otherwise, which biases extreme configurations; the shipped defaults
-stay interior).  Features are sums of per-class prototype vectors plus
-Gaussian noise, so label structure is linearly recoverable.
+Labels are drawn class by class from one generator, with marginal m.
+Class 2k is Bernoulli(m) and class 2k+1 is Bernoulli(m + boost (y_2k - m)),
+so each pair (2k, 2k+1) co-occurs with probability m^2 + boost m (1 - m)
+and every other pair is independent; the last class of an odd C has no
+partner.  With 0 <= boost <= 1 the conditional of class 2k+1 lies in
+[m (1 - boost), m + boost (1 - m)], inside [0, 1].  Features are sums of
+per-class prototype vectors plus Gaussian noise, so label structure is
+linearly recoverable.
 
 All randomness flows through ``numpy.random.default_rng`` seeded by a
 splitmix64 stream discipline: every consumer (prototypes, labels, noise,
@@ -75,35 +75,10 @@ class ContrastiveBatch:
     labels: np.ndarray
 
 
-def conditional_coefficients(matrix: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Per-class (beta, marginal) of the sequential linear conditional sampler.
-
-    Class c is drawn with probability m_c + beta_c . (y_prev - m_prev),
-    where beta_c solves the leading covariance block against the target
-    cross-covariances (least squares, tolerant of degenerate classes).
-    """
-    marginals = np.diag(matrix)
-    cov = matrix - np.outer(marginals, marginals)
-    np.fill_diagonal(cov, marginals * (1.0 - marginals))
-    out = []
-    for c in range(matrix.shape[0]):
-        if c == 0:
-            out.append((np.zeros(0), float(marginals[0])))
-            continue
-        beta, *_ = np.linalg.lstsq(cov[:c, :c], cov[:c, c], rcond=None)
-        out.append((beta, float(marginals[c])))
-    return out
-
-
-def _draw_labels(rng, coeffs, rows: int, num_classes: int) -> np.ndarray:
+def _draw_labels(rng, rows: int, num_classes: int, marginal: float, boost: float) -> np.ndarray:
     labels = np.zeros((rows, num_classes), dtype=np.int64)
-    marginals = np.array([m for _, m in coeffs])
-    for c, (beta, m_c) in enumerate(coeffs):
-        if c == 0:
-            p = np.full(rows, m_c)
-        else:
-            centered = labels[:, :c] - marginals[:c]
-            p = np.clip(m_c + centered @ beta, 0.0, 1.0)
+    for c in range(num_classes):
+        p = marginal if c % 2 == 0 else marginal + boost * (labels[:, c - 1] - marginal)
         labels[:, c] = rng.random(rows) < p
     return labels
 
@@ -117,15 +92,14 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
     bias that keeps every class learnable).  The prototypes are drawn as
     one (C, d) block, so they do not depend on ``num_samples``.
     """
-    matrix = correlated_cooccurrence(cfg.num_classes, cfg.marginal, cfg.boost)
     rng_labels = np.random.default_rng(splitmix64(seed, STREAM_LABELS))
-    coeffs = conditional_coefficients(matrix)
-    labels = _draw_labels(rng_labels, coeffs, cfg.num_samples, cfg.num_classes)
+    law = (cfg.num_classes, cfg.marginal, cfg.boost)
+    labels = _draw_labels(rng_labels, cfg.num_samples, *law)
     for _ in range(1000):
         zero_rows = np.flatnonzero(labels.sum(axis=1) == 0)
         if zero_rows.size == 0:
             break
-        labels[zero_rows] = _draw_labels(rng_labels, coeffs, zero_rows.size, cfg.num_classes)
+        labels[zero_rows] = _draw_labels(rng_labels, zero_rows.size, *law)
     else:
         raise InputError("could not draw nonzero label vectors; marginals too small")
     for c in range(cfg.num_classes):
@@ -141,25 +115,6 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
         (cfg.num_samples, cfg.input_dim)
     )
     return features, labels
-
-
-def correlated_cooccurrence(num_classes: int, marginal: float = 0.35, boost: float = 0.5) -> np.ndarray:
-    """Feasible co-occurrence matrix with correlated consecutive pairs.
-
-    Classes 2k and 2k+1 co-occur more often than independence by the
-    ``boost`` interpolation toward the comonotone upper bound; all other
-    pairs are independent.
-    """
-    if not 0.0 < marginal < 1.0:
-        raise InputError("marginal must lie in (0, 1)")
-    if not 0.0 <= boost <= 1.0:
-        raise InputError("boost must lie in [0, 1]")
-    m = np.full((num_classes, num_classes), marginal * marginal)
-    np.fill_diagonal(m, marginal)
-    for k in range(0, num_classes - 1, 2):
-        boosted = marginal * marginal + boost * (marginal - marginal * marginal)
-        m[k, k + 1] = m[k + 1, k] = boosted
-    return m
 
 
 def make_contrastive_batch(

@@ -12,3 +12,11 @@ class InputError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced or encountered a non-finite value."""
+
+
+def check_ints(what: str, *values) -> None:
+    """Raise InputError unless every value is an int; a bool or a float
+    with an integral value is not one."""
+    for value in values:
+        if type(value) is not int:
+            raise InputError(f"{what} must be of type int, not {value!r}")

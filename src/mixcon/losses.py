@@ -214,19 +214,15 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
     ``G (-g- p_m^(g- - 1) log(1 - p_m) + p_m^g- / (1 - p_m)) [p > margin]``
     where y = 0.  An exponent of 0 makes its factor the constant 1 and
     drops its derivative term.  At p = 1 the g+ term is taken as its limit,
-    0, which 0 < g+ < 1 would otherwise evaluate as 0 * inf.  A 1-D block
-    is one row.  A probability of exactly 0 on a positive (or 1 with margin
-    0 on a negative) makes the loss infinite, which the caller or
-    backward() reports as a numeric error.
+    0, which 0 < g+ < 1 would otherwise evaluate as 0 * inf.  A probability
+    of exactly 0 on a positive (or 1 with margin 0 on a negative) makes the
+    loss infinite, which the caller or backward() reports as a numeric
+    error.
     """
     p = probabilities.value
-    if p.ndim == 1:
-        p = p[None, :]
     y = np.asarray(labels)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.shape != p.shape:
-        raise InputError("labels must match the probability block shape")
+    if p.ndim != 2 or y.shape != p.shape:
+        raise InputError("probabilities and labels must be (B, C) blocks of one shape")
     if not ((y == 0) | (y == 1)).all():
         raise InputError("label entries must be 0 or 1")
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -257,6 +253,6 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
         if gamma_neg:
             d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)
         grad = np.where(pos, d_pos, np.where(live, d_neg, 0.0))
-        return (g * grad.reshape(probabilities.value.shape),)
+        return (g * grad,)
 
     return tape.node("asl", loss, (probabilities,), vjp)

@@ -14,12 +14,13 @@ n-dimensional projection point used as the density's evaluation target.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tape
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_ints
 from .tape import Tensor
 
 CHECKPOINT_MAGIC = b"MIXCON1"
@@ -38,8 +39,8 @@ class ModelConfig:
     mdn_hidden: tuple[int, ...] = (128, 64)
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_hidden", tuple(int(h) for h in self.encoder_hidden))
-        object.__setattr__(self, "mdn_hidden", tuple(int(h) for h in self.mdn_hidden))
+        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
+        object.__setattr__(self, "mdn_hidden", tuple(self.mdn_hidden))
         dims = (
             self.input_dim,
             self.embed_dim,
@@ -48,7 +49,8 @@ class ModelConfig:
             *self.encoder_hidden,
             *self.mdn_hidden,
         )
-        if any(int(d) < 1 for d in dims):
+        check_ints("model dimensions", *dims)
+        if any(d < 1 for d in dims):
             raise InputError("all model dimensions must be >= 1")
 
 
@@ -139,31 +141,26 @@ def classifier_forward_t(pt: dict[str, Tensor], h: Tensor) -> Tensor:
     return tape.sigmoid(_affine(pt, "cls", h))
 
 
-def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InputError(f"{what} must have trailing dimension {dim}")
+        raise InputError(f"{what} must be a (B, {dim}) block")
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite {what}")
-    return arr, single
+    return arr
 
 
 def encoder_forward(params: Params, x, cfg: ModelConfig) -> np.ndarray:
-    """Array-in, array-out encoder pass ((d,) -> (H,), (B, d) -> (B, H))."""
-    arr, single = _as_batch(x, cfg.input_dim, "encoder input")
+    """Array-in, array-out encoder pass, (B, d) -> (B, H)."""
+    arr = _as_batch(x, cfg.input_dim, "encoder input")
     pt = params_to_tensors(params, trainable_prefixes=())
-    out = encoder_forward_t(pt, tape.constant(arr), cfg).value
-    return out[0] if single else out
+    return encoder_forward_t(pt, tape.constant(arr), cfg).value
 
 
 def classifier_forward(params: Params, h, cfg: ModelConfig) -> np.ndarray:
-    arr, single = _as_batch(h, cfg.embed_dim, "embedding")
+    arr = _as_batch(h, cfg.embed_dim, "embedding")
     pt = params_to_tensors(params, trainable_prefixes=())
-    out = classifier_forward_t(pt, tape.constant(arr)).value
-    return out[0] if single else out
+    return classifier_forward_t(pt, tape.constant(arr)).value
 
 
 # -- checkpoint container ------------------------------------------------------
@@ -227,7 +224,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise InputError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
         manifest = [
-            (str(entry["name"]), tuple(int(d) for d in entry["shape"]))
+            (str(entry["name"]), tuple(entry["shape"]))
             for entry in header["tensors"]
         ]
         kind, seed = header["kind"], header["seed"]
@@ -237,7 +234,9 @@ def load_checkpoint(path) -> Checkpoint:
     params: Params = {}
     offset = header_end + 1
     for name, shape in manifest:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise InputError(f"{path}: shape of {name!r} must hold non-negative integers")
+        nbytes = math.prod(shape) * 8
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise InputError(f"{path}: truncated tensor data for {name!r}")

@@ -47,24 +47,24 @@ def init_adam(params: Params, keys: tuple[str, ...] | None = None) -> AdamState:
 def adam_step(state: AdamState, params: Params, gradients: dict[str, np.ndarray], lr_now: float) -> None:
     """One bias-corrected Adam update, in place.
 
-    Only parameters named in ``gradients`` move; that is how frozen
-    stages keep the rest untouched.  Iteration follows the state's key
-    order, so update order (and therefore bytes) is reproducible.
+    ``gradients`` must name exactly the state's parameters, each with an
+    array of its shape.  Only those move; that is how frozen stages, whose
+    state covers the trainable parameters alone, keep the rest untouched.
+    Iteration follows the state's key order, so update order (and
+    therefore bytes) is reproducible.
     """
     if not lr_now > 0.0:
         raise InputError(f"learning rate must be positive, got {lr_now!r}")
-    for name in gradients:
-        if name not in state.m:
-            raise InputError(f"gradient for unknown parameter {name!r}")
-        if gradients[name].shape != params[name].shape:
-            raise InputError(f"gradient shape mismatch for {name!r}")
+    if gradients.keys() != state.m.keys():
+        raise InputError(f"gradients for {sorted(gradients)} do not match {sorted(state.m)}")
+    for name, g in gradients.items():
+        if getattr(g, "shape", None) != params[name].shape:
+            raise InputError(f"gradient for {name!r} is not an array of its parameter's shape")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     for name in state.m:
-        g = gradients.get(name)
-        if g is None:
-            g = np.zeros_like(params[name])
+        g = gradients[name]
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = state.m[name] / (1.0 - b1**t)

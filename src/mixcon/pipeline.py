@@ -164,9 +164,9 @@ def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
     (a trailing partial batch is skipped so every step sees a uniform
     2N-view contrastive problem).
     """
+    features, labels, train_idx, _ = dataset_split(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    features, labels, train_idx, _ = dataset_split(cfg)
     x_train, y_train = features[train_idx], labels[train_idx]
     params = init_params(cfg.model, seed=splitmix64(cfg.seed, STREAM_INIT))
     view_base = splitmix64(cfg.seed, STREAM_VIEWS)
@@ -235,11 +235,11 @@ def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> 
     partial one, and the encoder bytes are compared before and after as
     a hard guarantee.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = _load_matching_checkpoint(cfg, contrastive_checkpoint, "contrastive")
     params = {name: value.copy() for name, value in ckpt.params.items()}
     features, labels, train_idx, hold_idx = dataset_split(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     frozen_before = encoder_bytes(params)
     embeddings = encoder_forward(params, features[train_idx], cfg.model)
     y_train = labels[train_idx]

@@ -190,11 +190,7 @@ def composite_asl_t(probabilities, labels, cfg):
     which backward() then reports as a numeric error.
     """
     probs = probabilities
-    if probs.value.ndim == 1:
-        probs = tape.reshape(probs, (1, probs.value.shape[0]))
     y = np.asarray(labels)
-    if y.ndim == 1:
-        y = y[None, :]
     if y.shape != probs.value.shape:
         raise InputError("labels must match the probability block shape")
     if not np.isin(y, (0, 1)).all():

@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcon.config import (
     DataConfig,
@@ -101,6 +103,13 @@ def test_optim_validation():
         ("data", "num_samples", "many"),
         ("data", "noise_scale", -1.0),
         ("loss", "sim", "correlation"),
+        ("data", "num_samples", 100.5),
+        ("optim", "batch_size", 16.5),
+        ("model", "embed_dim", 8.5),
+        ("optim", "contrastive_epochs", 1.5),
+        ("model", "encoder_hidden", [128.7]),
+        (None, "seed", True),
+        ("data", "input_dim", 24.0),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):
@@ -117,3 +126,27 @@ def test_non_utf8_config_file_raises_input_error(tmp_path):
     path.write_bytes(b'{"seed": "\xff"}')
     with pytest.raises(InputError):
         load_config(path)
+
+
+CONFIG_BYTES = (json.dumps(to_dict(ExperimentConfig()), sort_keys=True, indent=2) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.one_of(st.just(len(CONFIG_BYTES)), st.integers(0, len(CONFIG_BYTES))),
+    edits=st.lists(
+        st.tuples(st.integers(0, len(CONFIG_BYTES) - 1), st.integers(0, 255)), max_size=3
+    ),
+)
+def test_mutated_config_file_loads_or_raises_input_error(tmp_path_factory, cut, edits):
+    # A truncated or byte-mutated file may still load, possibly as another
+    # valid config; any failure must be an InputError.
+    blob = bytearray(CONFIG_BYTES)
+    for pos, byte in edits:
+        blob[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated_config.json"
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        load_config(path)
+    except InputError:
+        pass

@@ -1,9 +1,9 @@
 """Synthetic data generator and contrastive batch augmentation tests.
 
 The label sampler is checked against an exhaustive enumeration oracle:
-the sequential conditional law is small enough to integrate exactly over
-all 2^C label vectors, including the all-zero redraw conditioning, so
-empirical frequencies have a known target and a binomial error bar.
+the pair law is small enough to integrate exactly over all 2^C label
+vectors, including the all-zero redraw conditioning, so empirical
+frequencies have a known target and a binomial error bar.
 """
 
 import itertools
@@ -11,15 +11,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixcon.config import DataConfig
 from mixcon.data import (
     STREAM_PROTOTYPES,
     AugmentConfig,
-    conditional_coefficients,
-    correlated_cooccurrence,
     generate_synthetic,
     make_contrastive_batch,
     splitmix64,
@@ -27,18 +23,21 @@ from mixcon.data import (
 from mixcon.errors import InputError, NumericError
 
 
-def enumerated_conditional(matrix):
-    """Exact law of the sequential sampler conditioned on >= 1 label."""
-    coeffs = conditional_coefficients(matrix)
-    num_classes = matrix.shape[0]
-    marginals = np.diag(matrix)
+def enumerated_conditional(num_classes, marginal, boost):
+    """Exact label law conditioned on >= 1 label.
+
+    Each pair (2k, 2k+1) is two Bernoulli(marginal) labels that co-occur
+    with probability m^2 + boost m (1 - m); the pairs, and the last class
+    of an odd count, are independent of one another.
+    """
+    both = marginal * marginal + boost * marginal * (1.0 - marginal)
+    pair = {(1, 1): both, (1, 0): marginal - both, (0, 1): marginal - both}
+    pair[0, 0] = 1.0 - 2.0 * marginal + both
     probs = {}
     for bits in itertools.product((0, 1), repeat=num_classes):
-        p = 1.0
-        for c, (beta, m) in enumerate(coeffs):
-            prev = np.array(bits[:c], dtype=np.float64)
-            pc = m if c == 0 else float(np.clip(m + (prev - marginals[:c]) @ beta, 0.0, 1.0))
-            p *= pc if bits[c] else (1.0 - pc)
+        p = math.prod(pair[bits[k], bits[k + 1]] for k in range(0, num_classes - 1, 2))
+        if num_classes % 2:
+            p *= marginal if bits[-1] else 1.0 - marginal
         probs[bits] = p
     zero = (0,) * num_classes
     norm = 1.0 - probs[zero]
@@ -86,28 +85,12 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             data_cfg(10, 2, 4, noise_scale=-1.0)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        c=st.integers(1, 8),
-        marginal=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        boost=st.floats(0.0, 1.0),
-    )
-    def test_closed_form_matrix_is_symmetric_and_feasible(self, c, marginal, boost):
-        m = correlated_cooccurrence(c, marginal, boost)
-        assert m.shape == (c, c)
-        assert np.array_equal(m, m.T)
-        assert np.all(np.diag(m) == marginal)
-        lower = max(0.0, 2.0 * marginal - 1.0)
-        off = m[~np.eye(c, dtype=bool)]
-        assert np.all(off <= marginal * (1.0 + 1e-12))
-        assert np.all(off >= lower - 1e-12)
-
 
 class TestLabelLaw:
     def test_two_class_conditional_pair_is_one_third(self):
         # Independent marginals 0.5 give raw pair probability 0.25; after
         # conditioning away the all-zero row it is exactly 1/3.
-        law = enumerated_conditional(correlated_cooccurrence(2, 0.5, 0.0))
+        law = enumerated_conditional(2, 0.5, 0.0)
         assert pair_probability(law, 0, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_two_class_empirical_matches_enumeration(self):
@@ -119,11 +102,43 @@ class TestLabelLaw:
         assert abs(freq - target) < 3.5 * sigma
         assert not np.any(labels.sum(axis=1) == 0)
 
+    def test_boosted_two_class_pair_is_three_fifths(self):
+        # Marginal 0.5 and boost 0.5 give P(11) = 0.375 and P(00) = 0.375,
+        # so after conditioning away the all-zero row P(11) = 0.375 / 0.625.
+        law = enumerated_conditional(2, 0.5, 0.5)
+        assert pair_probability(law, 0, 1) == pytest.approx(0.6, abs=1e-15)
+        n = 20000
+        _, labels = generate_synthetic(data_cfg(n, 2, 4, boost=0.5), seed=13)
+        freq = np.mean(labels[:, 0] & labels[:, 1])
+        sigma = math.sqrt(0.6 * 0.4 / n)
+        assert abs(freq - 0.6) < 3.5 * sigma
+
+    @pytest.mark.parametrize("num_classes", [3, 7])
+    def test_odd_class_count_leaves_the_last_class_unpaired(self, num_classes):
+        # The last class is independent: the raw law has P(all zero) =
+        # P(00)^(C // 2) (1 - m), and the last class is active in m of it.
+        m, boost, n = 0.35, 0.5, 20000
+        law = enumerated_conditional(num_classes, m, boost)
+        both = m * m + boost * m * (1.0 - m)
+        zero = (1.0 - 2.0 * m + both) ** (num_classes // 2) * (1.0 - m)
+        last = num_classes - 1
+        assert marginal_probability(law, last) == pytest.approx(m / (1.0 - zero), rel=1e-12)
+        assert pair_probability(law, 0, 1) == pytest.approx(both / (1.0 - zero), rel=1e-12)
+        assert pair_probability(law, 0, last) == pytest.approx(m * m / (1.0 - zero), rel=1e-12)
+        _, labels = generate_synthetic(data_cfg(n, num_classes, 8, m, boost), seed=17)
+        for a, b in ((0, 1), (last - 1, last), (0, last)):
+            target = pair_probability(law, a, b)
+            freq = np.mean(labels[:, a] & labels[:, b])
+            assert abs(freq - target) < 3.5 * math.sqrt(target * (1.0 - target) / n)
+        target = marginal_probability(law, last)
+        sigma = math.sqrt(target * (1.0 - target) / n)
+        assert abs(labels[:, last].mean() - target) < 3.5 * sigma
+
     def test_many_class_pair_near_raw_target(self):
         # With 8 classes the all-zero row has mass 2^-8, so conditioning
         # barely moves the pair frequency off the raw 0.25 target.
         n = 20000
-        law = enumerated_conditional(correlated_cooccurrence(8, 0.5, 0.0))
+        law = enumerated_conditional(8, 0.5, 0.0)
         target = pair_probability(law, 0, 1)
         assert abs(target - 0.25) < 2e-3
         _, labels = generate_synthetic(data_cfg(n, 8, 6), seed=3)
@@ -133,7 +148,7 @@ class TestLabelLaw:
 
     def test_correlated_pairs_beat_independent_pairs(self):
         n = 20000
-        law = enumerated_conditional(correlated_cooccurrence(4, marginal=0.35, boost=0.5))
+        law = enumerated_conditional(4, 0.35, 0.5)
         _, labels = generate_synthetic(data_cfg(n, 4, 8, marginal=0.35, boost=0.5), seed=11)
         boosted = np.mean(labels[:, 0] & labels[:, 1])
         cross = np.mean(labels[:, 0] & labels[:, 2])
@@ -146,7 +161,7 @@ class TestLabelLaw:
 
     def test_marginals_match_enumeration(self):
         n = 20000
-        law = enumerated_conditional(correlated_cooccurrence(4, marginal=0.35, boost=0.5))
+        law = enumerated_conditional(4, 0.35, 0.5)
         _, labels = generate_synthetic(data_cfg(n, 4, 8, marginal=0.35, boost=0.5), seed=5)
         for c in range(4):
             target = marginal_probability(law, c)

@@ -400,9 +400,10 @@ def test_asl_reduces_to_bce_when_disabled():
 
 
 def test_asl_hand_fixtures():
-    value = asl_loss_t(tape.constant(np.array([0.9])), np.array([1]), AslConfig(gamma_pos=0.0))
+    one = np.array([[1]])
+    value = asl_loss_t(tape.constant(np.array([[0.9]])), one, AslConfig(gamma_pos=0.0))
     assert float(value.value) == pytest.approx(-math.log(0.9), rel=1e-12)
-    perfect = asl_loss_t(tape.constant(np.array([1.0])), np.array([1]), AslConfig())
+    perfect = asl_loss_t(tape.constant(np.array([[1.0]])), one, AslConfig())
     assert float(perfect.value) == 0.0
 
 
@@ -418,23 +419,26 @@ def test_asl_matches_direct_reference():
 
 def test_asl_clipped_negatives_have_zero_value_and_gradient():
     cfg = AslConfig()  # margin 0.05
-    probs = tape.leaf(np.array([0.01, 0.05, 0.2]))
-    labels = np.array([0, 0, 0])
+    probs = tape.leaf(np.array([[0.01, 0.05, 0.2]]))
+    labels = np.array([[0, 0, 0]])
     (grad,) = reference.grads_of(asl_loss_t(probs, labels, cfg), [probs])
-    below, at_margin, above = grad
+    below, at_margin, above = grad[0]
     assert below == 0.0 and at_margin == 0.0
     assert above != 0.0
-    clipped_only = asl_loss_t(tape.constant(np.array([0.01, 0.05])), np.array([0, 0]), cfg)
+    clipped_only = asl_loss_t(tape.constant(np.array([[0.01, 0.05]])), np.array([[0, 0]]), cfg)
     assert float(clipped_only.value) == 0.0
 
 
 def test_asl_validation():
     with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([1.2])), np.array([1]), AslConfig())
+        asl_loss_t(tape.constant(np.array([[1.2]])), np.array([[1]]), AslConfig())
     with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([0.5, 0.5])), np.array([1]), AslConfig())
+        asl_loss_t(tape.constant(np.array([[0.5, 0.5]])), np.array([[1]]), AslConfig())
     with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([0.5])), np.array([2]), AslConfig())
+        asl_loss_t(tape.constant(np.array([[0.5]])), np.array([[2]]), AslConfig())
+    # A 1-D block is no longer read as one row.
+    with pytest.raises(InputError):
+        asl_loss_t(tape.constant(np.array([0.5, 0.5])), np.array([1, 0]), AslConfig())
 
 
 def test_asl_infinite_loss_surfaces_as_numeric_error():
@@ -469,24 +473,24 @@ def test_asl_gradient_at_a_certain_positive_is_its_limit():
 @given(st.integers(0, 2**32 - 1))
 def test_asl_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    probs = rng.uniform(0.1, 0.9, size=4)
-    labels = (rng.random(4) < 0.5).astype(int)
+    probs = rng.uniform(0.1, 0.9, size=(1, 4))
+    labels = (rng.random((1, 4)) < 0.5).astype(int)
     cfg = AslConfig(gamma_pos=1.0, gamma_neg=4.0, margin=0.05)
     leaf = tape.leaf(probs)
     (grad,) = reference.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
     step = 1e-6
     for i in range(4):
-        if abs(probs[i] - cfg.margin) < 10 * step:
+        if abs(probs[0, i] - cfg.margin) < 10 * step:
             continue  # kink of the clip; one-sided gradients differ there
         hi, lo = probs.copy(), probs.copy()
-        hi[i] += step
-        lo[i] -= step
+        hi[0, i] += step
+        lo[0, i] -= step
         numeric = (
             float(asl_loss_t(tape.constant(hi), labels, cfg).value)
             - float(asl_loss_t(tape.constant(lo), labels, cfg).value)
         ) / (2 * step)
-        denom = max(abs(grad[i]), abs(numeric), 1e-8)
-        assert abs(grad[i] - numeric) / denom < 1e-4
+        denom = max(abs(grad[0, i]), abs(numeric), 1e-8)
+        assert abs(grad[0, i] - numeric) / denom < 1e-4
 
 
 def assert_asl_matches_composite_graph(probs, labels, cfg, read_out=1.0):
@@ -526,7 +530,7 @@ def test_asl_op_matches_composite_graph(gamma_pos, gamma_neg, margin):
     probs, labels = asl_block(rng, margin)
     assert_asl_matches_composite_graph(probs, labels, cfg)
     assert_asl_matches_composite_graph(probs, labels, cfg, read_out=-2.5)
-    assert_asl_matches_composite_graph(probs[0], labels[0], cfg)
+    assert_asl_matches_composite_graph(probs[:1], labels[:1], cfg)
 
 
 def test_asl_op_on_a_constant_has_no_vjp():

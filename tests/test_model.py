@@ -2,9 +2,13 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcon import tape
 from mixcon.errors import InputError, NumericError
@@ -75,10 +79,10 @@ def test_encoder_output_is_unit_norm_and_deterministic():
     np.testing.assert_allclose(np.linalg.norm(h, axis=1), np.ones(9), atol=1e-9)
     h2 = encoder_forward(params, x, CFG)
     assert h.tobytes() == h2.tobytes()
-    # Single-vector and batched paths agree numerically (BLAS may pick
+    # One-row and batched blocks agree numerically (BLAS may pick
     # different kernels per shape, so bit equality is not promised here).
-    single = encoder_forward(params, x[0], CFG)
-    np.testing.assert_allclose(single, h[0], rtol=1e-12, atol=1e-14)
+    single = encoder_forward(params, x[:1], CFG)
+    np.testing.assert_allclose(single[0], h[0], rtol=1e-12, atol=1e-14)
 
 
 def test_identity_encoder_passes_unit_vector_through():
@@ -89,7 +93,7 @@ def test_identity_encoder_passes_unit_vector_through():
     params = init_params(cfg, seed=3)
     params["enc.out.w"] = np.eye(4)
     params["enc.out.b"] = np.zeros(4)
-    x = np.array([0.0, 1.0, 0.0, 0.0])
+    x = np.array([[0.0, 1.0, 0.0, 0.0]])
     np.testing.assert_array_equal(encoder_forward(params, x, cfg), x)
 
 
@@ -102,15 +106,23 @@ def test_encoder_zero_vector_raises_numeric_error():
     params["enc.out.w"] = np.zeros((3, 2))
     params["enc.out.b"] = np.zeros(2)
     with pytest.raises(NumericError):
-        encoder_forward(params, np.ones(3), cfg)
+        encoder_forward(params, np.ones((1, 3)), cfg)
 
 
 def test_encoder_input_validation():
     params = init_params(CFG, seed=2)
     with pytest.raises(InputError):
-        encoder_forward(params, np.zeros(5), CFG)
+        encoder_forward(params, np.zeros((1, 5)), CFG)
     with pytest.raises(NumericError):
-        encoder_forward(params, np.full(6, np.nan), CFG)
+        encoder_forward(params, np.full((1, 6), np.nan), CFG)
+
+
+def test_one_dimensional_inputs_raise_input_error():
+    params = init_params(CFG, seed=2)
+    with pytest.raises(InputError):
+        encoder_forward(params, np.zeros(6), CFG)
+    with pytest.raises(InputError):
+        classifier_forward(params, np.zeros(5), CFG)
 
 
 def test_mdn_outputs_valid_mixture():
@@ -168,8 +180,8 @@ def test_classifier_zero_params_give_half():
     params = init_params(CFG, seed=11)
     params["cls.w"] = np.zeros_like(params["cls.w"])
     params["cls.b"] = np.zeros_like(params["cls.b"])
-    probs = classifier_forward(params, np.ones(5), CFG)
-    np.testing.assert_array_equal(probs, np.full(4, 0.5))
+    probs = classifier_forward(params, np.ones((1, 5)), CFG)
+    np.testing.assert_array_equal(probs, np.full((1, 4), 0.5))
 
 
 def test_classifier_monotone_in_logit():
@@ -274,6 +286,22 @@ def test_checkpoint_with_malformed_header_raises_input_error(tmp_path, mutate):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    ["[1e400]", "[-2, -3]", "[1099511627776, 1099511627776]", "[6, 8.5]"],
+    ids=["overflowing", "negative", "huge", "fractional"],
+)
+def test_checkpoint_shape_must_hold_non_negative_integers(tmp_path, shape):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, init_params(CFG, seed=16), kind="k", seed=0, config={}, config_hash="h")
+    magic, header, data = good.read_bytes().split(b"\n", 2)
+    header = header.replace(b'"shape":[6,8]', b'"shape":' + shape.encode(), 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(magic + b"\n" + header + b"\n" + data)
+    with pytest.raises(InputError):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_header_must_be_a_json_object(tmp_path):
     path = tmp_path / "list.ckpt"
     path.write_bytes(b"MIXCON1\n[1, 2]\n")
@@ -291,3 +319,39 @@ def test_encoder_bytes_tracks_only_encoder_tensors():
     assert encoder_bytes(params) == before
     params["enc.0.w"] = params["enc.0.w"] + 1.0
     assert encoder_bytes(params) != before
+
+
+def _checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(
+            path, init_params(CFG, seed=18), kind="contrastive", seed=18,
+            config={"note": "fixture"}, config_hash="h",
+        )
+        return path.read_bytes()
+
+
+CHECKPOINT_BYTES = _checkpoint_bytes()
+HEADER_END = CHECKPOINT_BYTES.index(b"\n", len(b"MIXCON1\n"))
+# Half the edits land in the magic line or the JSON header, where the
+# parser lives; the rest anywhere, tensor data included.
+POSITIONS = st.one_of(st.integers(0, HEADER_END), st.integers(0, len(CHECKPOINT_BYTES) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.one_of(st.just(len(CHECKPOINT_BYTES)), st.integers(0, len(CHECKPOINT_BYTES))),
+    edits=st.lists(st.tuples(POSITIONS, st.integers(0, 255)), max_size=3),
+)
+def test_mutated_checkpoint_loads_or_raises_input_error(tmp_path_factory, cut, edits):
+    # A truncated or byte-mutated file may still load, possibly with other
+    # values; any failure must be an InputError.
+    blob = bytearray(CHECKPOINT_BYTES)
+    for pos, byte in edits:
+        blob[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(bytes(blob[:cut]))
+    try:
+        load_checkpoint(path)
+    except InputError:
+        pass

@@ -60,6 +60,20 @@ def test_adam_updates_only_supplied_gradients():
         adam_step(state, params, {"b": np.zeros(2)}, lr_now=0.1)
 
 
+def test_adam_rejects_a_missing_gradient():
+    # A parameter in the state with no gradient would keep moving on its
+    # momentum; the step refuses it instead, before anything moves.
+    params = {"a": np.ones(2), "b": np.ones(2)}
+    state = init_adam(params)
+    adam_step(state, params, {"a": np.full(2, 0.5), "b": np.full(2, 0.5)}, lr_now=0.1)
+    before = {k: v.copy() for k, v in params.items()}
+    for gradients in ({"a": np.zeros(2)}, {"a": np.zeros(2), "b": None}):
+        with pytest.raises(InputError):
+            adam_step(state, params, gradients, lr_now=0.1)
+    assert state.step_count == 1
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+
+
 def test_adam_validation():
     params = {"w": np.ones(2)}
     state = init_adam(params)
@@ -201,7 +215,8 @@ def test_fifty_adam_steps_cut_identical_batch_loss():
     params = init_params(cfg, seed=21)
     batch = np.tile(np.random.default_rng(3).normal(size=5), (4, 1))
     labels = np.tile(np.array([1, 0, 1]), (4, 1))
-    state = init_adam(params)
+    # The toy loss never reaches the classifier head, so it is frozen.
+    state = init_adam(params, keys=tuple(k for k in params if not k.startswith("cls.")))
 
     def loss_value():
         pt = {k: tape.leaf(v) for k, v in params.items()}
@@ -211,7 +226,7 @@ def test_fifty_adam_steps_cut_identical_batch_loss():
     for _ in range(50):
         loss, pt = loss_value()
         tape.backward(loss)
-        grads = {k: t.grad for k, t in pt.items() if t.grad is not None}
+        grads = {k: pt[k].grad for k in state.m}
         adam_step(state, params, grads, lr_now=0.01)
     final, _ = loss_value()
     assert float(final.value) <= 0.9 * float(initial.value)

@@ -355,3 +355,34 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "malformed experiment config" in capsys.readouterr().err
+
+    def test_rejected_inputs_leave_no_output_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        run = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(run)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rejected"
+        # Another seed's checkpoint fails the config-hash check.
+        assert main([
+            "train-classifier", "--config", str(cfg_path), "--seed", "77",
+            "--checkpoint", str(run / "contrastive.ckpt"), "--out", str(out),
+        ]) == 2
+        assert "config hash does not match" in capsys.readouterr().err
+        assert not out.exists()
+        # A marginal this small cannot draw a label vector with any label.
+        hopeless = tiny_config(data=dataclasses.replace(tiny_config().data, marginal=1e-9))
+        save_config(cfg_path, hopeless)
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "could not draw nonzero label vectors" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_size_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
+        payload["optim"]["batch_size"] = 16.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "16.5" in capsys.readouterr().err
+        assert not out.exists()
