@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .data import AugmentConfig
-from .errors import InputError, check_ints
+from .errors import InputError, check_floats, check_ints
 from .losses import AslConfig, ContrastiveLossConfig
 from .model import ModelConfig
 
@@ -33,6 +33,13 @@ class DataConfig:
 
     def __post_init__(self):
         check_ints("data sizes", self.num_samples, self.num_classes, self.input_dim)
+        check_floats(
+            "data fractions and scales",
+            self.marginal,
+            self.boost,
+            self.noise_scale,
+            self.holdout_frac,
+        )
         if self.num_samples < 8:
             raise InputError("num_samples must be >= 8")
         if not 0.0 < self.holdout_frac < 1.0:
@@ -61,6 +68,13 @@ class OptimConfig:
             self.batch_size,
             self.contrastive_epochs,
             self.classifier_epochs,
+        )
+        check_floats(
+            "learning rate and schedule fractions",
+            self.peak_lr,
+            self.warmup_frac,
+            self.final_factor,
+            self.start_factor,
         )
         if self.peak_lr <= 0.0:
             raise InputError("peak_lr must be > 0")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_floats
 
 if TYPE_CHECKING:
     from .config import DataConfig
@@ -59,6 +59,9 @@ class AugmentConfig:
     scale_jitter: float = 0.1
 
     def __post_init__(self):
+        check_floats(
+            "augmentation magnitudes", self.jitter_scale, self.dropout_prob, self.scale_jitter
+        )
         if self.jitter_scale < 0.0:
             raise InputError("jitter_scale must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:

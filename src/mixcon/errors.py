@@ -20,3 +20,11 @@ def check_ints(what: str, *values) -> None:
     for value in values:
         if type(value) is not int:
             raise InputError(f"{what} must be of type int, not {value!r}")
+
+
+def check_floats(what: str, *values) -> None:
+    """Raise InputError unless every value is a real number; a bool, which
+    JSON ``true`` and ``false`` load as, is not one."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{what} must be a number, not {value!r}")

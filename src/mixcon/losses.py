@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .errors import InputError
+from .errors import InputError, check_floats
 from .overlap import MEASURES, overlap_matrix, positive_mask
 from .tape import Tensor
 
@@ -35,6 +35,7 @@ class ContrastiveLossConfig:
     measure: str = "jaccard"
 
     def __post_init__(self):
+        check_floats("tau, alpha and lambda", self.tau, self.alpha, self.lam)
         if not self.tau > 0.0:
             raise InputError(f"tau must be positive, got {self.tau!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -54,6 +55,7 @@ class AslConfig:
     margin: float = 0.05
 
     def __post_init__(self):
+        check_floats("ASL exponents and margin", self.gamma_pos, self.gamma_neg, self.margin)
         if self.gamma_pos < 0.0 or self.gamma_neg < 0.0:
             raise InputError("focusing exponents must be >= 0")
         if not 0.0 <= self.margin < 1.0:

@@ -113,7 +113,8 @@ def _fit(
     batch_loss,
     objective: str,
 ) -> list[tuple]:
-    """The epoch loop both stages share; updates ``params`` in place.
+    """The epoch loop both stages share; updates ``params`` in place, where
+    the trainable entries end up as views of Adam's one flat buffer.
 
     Each epoch walks a fresh permutation of the ``num_samples`` training
     rows, drawn from ``shuffle_seed``, in ``batch_size`` slices.  A step
@@ -125,9 +126,10 @@ def _fit(
     objective, epoch and step appended.  Returns one row per epoch: the
     epoch, the per-step mean of every logged Tensor, and the last lr.
     """
-    keys = [k for k in params if k.startswith(trainable)]
-    leaves = {k: params[k] for k in keys}
-    state = init_adam(params, keys=keys)
+    # init_adam moves the trainable parameters into one flat buffer and
+    # puts views of it into params; the leaves must wrap those views, or
+    # every step would read arrays that Adam never updates.
+    state = init_adam(params, keys=tuple(k for k in params if k.startswith(trainable)))
     batch = optim.batch_size
     steps_per_epoch = num_samples // batch if drop_last else math.ceil(num_samples / batch)
     total_steps = epochs * steps_per_epoch
@@ -138,7 +140,7 @@ def _fit(
         logged = []
         for b in range(steps_per_epoch):
             data = make_batch(order[b * batch : (b + 1) * batch], step)
-            pt = params_to_tensors(leaves)
+            pt = params_to_tensors(state.views)
             try:
                 parts = batch_loss(pt, data)
                 tape.backward(parts[-1])
@@ -147,7 +149,7 @@ def _fit(
                     f"{exc} ({objective} objective, epoch {epoch}, step {step})"
                 ) from exc
             lr = one_cycle_lr(step, total_steps, optim)
-            adam_step(state, params, {k: pt[k].grad for k in keys}, lr)
+            adam_step(state, params, {k: pt[k].grad for k in state.views}, lr)
             logged.append([float(part.value) for part in parts])
             # Free this step's graph now, not when the next forward rebinds
             # the names, so a step never holds two graphs at once.

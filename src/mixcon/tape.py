@@ -6,6 +6,13 @@ in reverse topological order and accumulates gradients into every leaf
 reachable from it.  Graphs are rebuilt per step; nothing is retained
 between calls.
 
+A pass is checked once, at its end: if the loss or the gradient of any
+reachable leaf is non-finite, :func:`backward` raises
+:class:`~mixcon.errors.NumericError`, after a second, checked pass that
+finds the op whose contribution went non-finite first.  A non-finite
+contribution that never reaches a leaf (for example one that ``where``
+masks out) is not an error: nothing downstream consumes it.
+
 Only the operations needed by the losses and the model are provided.
 All arithmetic follows numpy broadcasting; gradients are summed back
 over broadcast axes so leaf gradients always match leaf shapes.
@@ -101,6 +108,8 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` over the axes numpy broadcast to reach ``grad.shape``."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -117,9 +126,12 @@ def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) 
     maps the gradient of ``value`` to a tuple with one entry per parent,
     in order: that parent's gradient, shaped like its value, or None when
     the parent does not require one.  :func:`backward` skips entries for
-    parents that need no gradient and raises :class:`NumericError` naming
-    ``op`` for a non-finite one.  When no parent needs a gradient the
-    result is a constant and ``backward_fn`` is dropped.
+    parents that need no gradient, and raises :class:`NumericError` naming
+    ``op`` for a non-finite one that reaches a leaf.  ``backward_fn`` must
+    be a pure function of the gradient it is given, which it must not
+    modify: a failed pass is repeated to find that op.  When no parent
+    needs a gradient the result is a constant and ``backward_fn`` is
+    dropped.
     """
     needs = any(p.requires_grad for p in parents)
     return Tensor(
@@ -321,50 +333,40 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    # Tensors hash by identity, so the set holds the nodes themselves.
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent not in seen:
                 stack.append((parent, False))
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable tensor.
-
-    Gradient buffers of the reachable graph are reset first, so each call
-    reports exactly one backward pass.  Raises :class:`NumericError` if the
-    loss or any intermediate gradient is non-finite, naming the operation.
-    """
-    if loss.value.size != 1:
-        raise InputError("backward requires a scalar loss")
-    if not np.isfinite(loss.value):
-        raise NumericError("loss is non-finite")
-    order = _toposort(loss)
+def _walk(loss: Tensor, order: list[Tensor], checked: bool) -> None:
+    """One reverse pass from ``loss`` over ``order``, after resetting every
+    gradient in it.  With ``checked``, a non-finite contribution raises
+    :class:`NumericError` naming the op that produced it."""
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
-        # Non-finite local gradients are raised as errors just below, so
-        # numpy's own warnings for the producing division are redundant.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            contributions = node._backward(node.grad)
+        contributions = node._backward(node.grad)
         for parent, contribution in zip(node._parents, contributions):
             if not parent.requires_grad:
                 continue
-            if not np.all(np.isfinite(contribution)):
+            if checked and not np.all(np.isfinite(contribution)):
                 raise NumericError(f"non-finite gradient produced by op '{node.op}'")
             if parent.grad is None:
                 # No copy: gradients are never updated in place, so sharing
@@ -373,3 +375,35 @@ def backward(loss: Tensor) -> None:
             else:
                 parent.grad = parent.grad + contribution
 
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable tensor.
+
+    Gradient buffers of the reachable graph are reset first, so each call
+    reports exactly one backward pass.  Raises :class:`NumericError` if the
+    loss is non-finite, or if a reachable leaf's gradient is.  In the
+    second case the pass is repeated with every op's contribution checked
+    (the VJPs are pure functions of the output gradient, so it repeats the
+    first), and the error names the first op, walking back from the loss,
+    whose contribution is non-finite.  A non-finite contribution that no
+    leaf receives, such as one that ``where`` masks out on its way down,
+    raises nothing.
+    """
+    if loss.value.size != 1:
+        raise InputError("backward requires a scalar loss")
+    if not np.isfinite(loss.value):
+        raise NumericError("loss is non-finite")
+    order = _toposort(loss)
+    # Non-finite gradients are raised as errors below, so numpy's own
+    # warnings for the producing division are redundant.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _walk(loss, order, checked=False)
+        if all(
+            np.isfinite(node.grad).all()
+            for node in order
+            if node._backward is None and node.grad is not None
+        ):
+            return
+        _walk(loss, order, checked=True)
+    # Every contribution was finite, so a sum of them overflowed.
+    raise NumericError("non-finite gradient accumulated into a leaf")

@@ -10,7 +10,8 @@ them, as oracles for the gradients of the fused
 ``losses.similarity_matrix_t`` and ``losses.asl_loss_t``.  The tape tools
 they and the tests need, but the package does not (:func:`pow_const`,
 :func:`relu`, :func:`grads_of` and :func:`finite_diff_check`), live here
-too.
+too, as does :class:`PerArrayAdam`, the per-array update that the flat
+``optim.adam_step`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -149,6 +150,30 @@ def finite_diff_check(params, loss_fn, step: float = 1e-5) -> float:
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+class PerArrayAdam:
+    """The per-array Adam update that ``optim.adam_step`` replaced, kept as
+    the oracle for its flat buffer: one moment pair per parameter, updated
+    one array at a time in ``keys`` order."""
+
+    def __init__(self, params, keys, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = {k: np.zeros_like(params[k]) for k in keys}
+        self.v = {k: np.zeros_like(params[k]) for k in keys}
+        self.step_count = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def step(self, params, gradients, lr_now):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        for name in self.m:
+            g = gradients[name]
+            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            m_hat = self.m[name] / (1.0 - b1**t)
+            v_hat = self.v[name] / (1.0 - b2**t)
+            params[name] -= lr_now * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _pairwise_cross(w_a, m_a, v_a, w_b, m_b, v_b, dim, shape_a, shape_b, reduce_axes):

@@ -110,6 +110,13 @@ def test_optim_validation():
         ("model", "encoder_hidden", [128.7]),
         (None, "seed", True),
         ("data", "input_dim", 24.0),
+        # JSON booleans are not numbers, though Python would do arithmetic
+        # with them as 1.0 and 0.0.
+        ("data", "noise_scale", True),
+        ("optim", "peak_lr", True),
+        ("augment", "jitter_scale", True),
+        ("loss", "tau", True),
+        ("asl", "margin", False),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):

@@ -12,7 +12,7 @@ from mixcon.losses import ContrastiveLossConfig, nll_loss_t, pcl_loss_t
 from mixcon.model import ModelConfig, encoder_forward_t, init_params, mdn_forward_t
 from mixcon.optim import adam_step, init_adam, one_cycle_lr
 
-from reference import finite_diff_check
+from reference import PerArrayAdam, finite_diff_check
 
 
 def test_adam_zero_gradients_leave_fresh_params_unchanged():
@@ -81,6 +81,54 @@ def test_adam_validation():
         adam_step(state, params, {"w": np.ones(3)}, lr_now=0.1)
     with pytest.raises(InputError):
         adam_step(state, params, {"w": np.ones(2)}, lr_now=0.0)
+    # A parameter replaced after init_adam would silently stop training.
+    params["w"] = params["w"].copy()
+    with pytest.raises(InputError, match="view"):
+        adam_step(state, params, {"w": np.ones(2)}, lr_now=0.1)
+    assert state.step_count == 0
+
+
+def test_init_adam_moves_the_trained_parameters_into_one_buffer():
+    rng = np.random.default_rng(2)
+    params = {"a": rng.normal(size=(2, 3)), "frozen": rng.normal(size=4), "b": rng.normal(size=5)}
+    before = {k: v.copy() for k, v in params.items()}
+    frozen = params["frozen"]
+    state = init_adam(params, keys=("b", "a"))
+    assert tuple(state.views) == ("b", "a")
+    assert state.flat.shape == state.m.shape == state.v.shape == (11,)
+    np.testing.assert_array_equal(state.flat, np.concatenate([before["b"], before["a"].ravel()]))
+    for k in ("a", "b"):
+        assert params[k] is state.views[k] and np.shares_memory(params[k], state.flat)
+        np.testing.assert_array_equal(params[k], before[k])
+    assert params["frozen"] is frozen
+
+
+def test_flat_adam_matches_the_per_array_update_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = {"w1": (4, 3), "frozen": (3,), "b1": (3,), "w2": (3, 2, 2), "one": (1,), "b2": (2,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    oracle_params = {k: v.copy() for k, v in params.items()}
+    keys = ("w2", "b1", "one", "w1", "b2")  # a subset, not in dict order
+    state = init_adam(params, keys=keys)
+    oracle = PerArrayAdam(oracle_params, keys)
+    frozen = params["frozen"].copy()
+    optim = OptimConfig(peak_lr=0.05)
+    for step in range(60):
+        # Magnitudes from 1e-9 to 1e3, with exact zeros mixed in.
+        grads = {
+            k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-9, 4)
+            * (rng.random(shapes[k]) > 0.2)
+            for k in keys
+        }
+        lr = one_cycle_lr(step, 60, optim)
+        adam_step(state, params, grads, lr)
+        oracle.step(oracle_params, grads, lr)
+        for k in keys:
+            assert params[k].tobytes() == oracle_params[k].tobytes(), (step, k)
+        assert state.m.tobytes() == np.concatenate([oracle.m[k].ravel() for k in keys]).tobytes()
+        assert state.v.tobytes() == np.concatenate([oracle.v[k].ravel() for k in keys]).tobytes()
+    assert state.step_count == oracle.step_count == 60
+    assert params["frozen"].tobytes() == frozen.tobytes()
 
 
 def test_adam_trajectories_are_deterministic():
@@ -226,7 +274,7 @@ def test_fifty_adam_steps_cut_identical_batch_loss():
     for _ in range(50):
         loss, pt = loss_value()
         tape.backward(loss)
-        grads = {k: pt[k].grad for k in state.m}
+        grads = {k: pt[k].grad for k in state.views}
         adam_step(state, params, grads, lr_now=0.01)
     final, _ = loss_value()
     assert float(final.value) <= 0.9 * float(initial.value)

@@ -25,7 +25,10 @@ from mixcon.config import (
 from mixcon.errors import InputError, NumericError
 from mixcon.losses import ContrastiveLossConfig
 from mixcon.model import ModelConfig, encoder_bytes, load_checkpoint
+from mixcon.optim import one_cycle_lr
 from mixcon.pipeline import ablate, evaluate, train_classifier, train_contrastive
+
+from reference import PerArrayAdam
 
 
 def tiny_config(seed=5, **overrides) -> ExperimentConfig:
@@ -148,6 +151,33 @@ class TestPipeline:
         assert str(info.value) == (
             "non-finite gradient produced by op 'sqrt' (classifier objective, epoch 0, step 0)"
         )
+
+    def test_fit_wraps_the_leaves_after_adam_owns_the_parameters(self):
+        # Adam moves the trainable parameters into its flat buffer; leaves
+        # wrapped before that would hold arrays that never change.
+        start = np.array([1.0, -2.0, 0.5])
+        params = {"w": start.copy(), "frozen": np.array([3.0])}
+        frozen = params["frozen"]
+        seen = []
+
+        def batch_loss(pt, idx):
+            assert sorted(pt) == ["w"] and np.shares_memory(pt["w"].value, params["w"])
+            seen.append(pt["w"].value.copy())
+            return (tape.tsum(pt["w"] * pt["w"]),)
+
+        optim = OptimConfig(batch_size=2, peak_lr=0.1)
+        pipeline._fit(
+            params, optim, trainable=("w",), epochs=2, num_samples=4, drop_last=True,
+            shuffle_seed=0, make_batch=lambda idx, step: idx, batch_loss=batch_loss,
+            objective="toy",
+        )
+        expected = {"w": start.copy()}
+        oracle = PerArrayAdam(expected, ("w",))
+        for step, value in enumerate(seen):
+            assert value.tobytes() == expected["w"].tobytes()
+            oracle.step(expected, {"w": 2.0 * value}, one_cycle_lr(step, 4, optim))
+        assert len(seen) == 4 and params["w"].tobytes() == expected["w"].tobytes()
+        assert params["frozen"] is frozen and params["frozen"][0] == 3.0
 
     def test_no_tape_tensor_outlives_its_step(self, tmp_path, monkeypatch):
         # At each batch build the previous step's graph must already be gone.
@@ -375,6 +405,16 @@ class TestCli:
         save_config(cfg_path, hopeless)
         assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "could not draw nonzero label vectors" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_in_a_float_field_is_a_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
+        payload["loss"]["tau"] = True
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "must be a number, not True" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_size_in_config_file_is_a_config_error(self, tmp_path, capsys):

@@ -209,6 +209,36 @@ def test_custom_op_with_nonfinite_contribution_names_its_op():
         tape.backward(out)
 
 
+def test_of_two_nonfinite_ops_the_one_nearer_the_loss_is_named():
+    # sqrt at 0 sends an infinite gradient to x; the custom op above it
+    # already sends a NaN to the sqrt.  The walk from the loss meets the
+    # custom op first.
+    x = tape.leaf(np.array([0.0, 4.0]))
+    inner = tape.sqrt(x)
+    outer = tape.node(
+        "outer_op", inner.value * 3.0, (inner,), lambda g: (np.array([np.nan, 3.0]) * g,)
+    )
+    with pytest.raises(NumericError) as info:
+        tape.backward(tape.tsum(outer))
+    assert str(info.value) == "non-finite gradient produced by op 'outer_op'"
+
+
+def test_nonfinite_contribution_masked_before_the_leaves_is_not_an_error():
+    # sqrt sends an infinite gradient to its masked-out entry, and where
+    # passes the leaf a zero there instead.
+    x = tape.leaf(np.array([4.0, 0.0]))
+    masked = tape.where(np.array([True, False]), x, tape.constant(0.0))
+    tape.backward(tape.tsum(tape.sqrt(masked)))
+    np.testing.assert_array_equal(x.grad, [0.25, 0.0])
+
+
+def test_finite_contributions_that_overflow_in_a_leaf_raise():
+    x = tape.leaf(np.array([0.0]))
+    big = np.array([1e308])
+    with pytest.raises(NumericError, match="accumulated into a leaf"):
+        tape.backward(tape.tsum(x * big + x * big))
+
+
 def test_custom_op_skips_parents_that_need_no_gradient():
     a, b = tape.leaf(np.array([2.0, 3.0])), tape.constant(np.ones(2))
     # The constant parent's entry is never looked at, finite or not.
