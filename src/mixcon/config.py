@@ -101,6 +101,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_ints("seed", self.seed)
+        check_floats("threshold", self.threshold)
         if self.model.input_dim != self.data.input_dim:
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:
@@ -128,6 +129,31 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(config_json(cfg).encode("utf-8")).hexdigest()
 
 
+def differing_fields(stored, cfg: ExperimentConfig) -> list[str]:
+    """Dotted paths, sorted, at which a config tree loaded from JSON (a
+    checkpoint's, say) differs from ``cfg``.
+
+    Leaves are compared as JSON text, the form the hash sees: a tuple and
+    the list it loads back as agree, while ``1``, ``1.0`` and ``true`` do
+    not.  A key present on one side only differs.
+    """
+    paths: list[str] = []
+
+    def walk(a, b, path):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                sub = f"{path}.{key}" if path else key
+                if key in a and key in b:
+                    walk(a[key], b[key], sub)
+                else:
+                    paths.append(sub)
+        elif json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
+            paths.append(path or "config")
+
+    walk(stored, to_dict(cfg), "")
+    return paths
+
+
 def from_dict(payload: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(
@@ -138,7 +164,7 @@ def from_dict(payload: dict) -> ExperimentConfig:
             optim=OptimConfig(**payload["optim"]),
             augment=AugmentConfig(**payload["augment"]),
             seed=payload["seed"],
-            threshold=float(payload["threshold"]),
+            threshold=payload["threshold"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed experiment config: {exc}") from exc

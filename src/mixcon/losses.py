@@ -2,10 +2,11 @@
 asymmetric classification loss.
 
 Each ``*_t`` function operates on :class:`~mixcon.tape.Tensor` batches of
-stacked mixture parameters (or probabilities) and returns a scalar
-Tensor, so the model's forward pass chains straight into it and
-``tape.backward`` gives the gradients.  Stage one trains on
-``nll + lam * pcl``.
+stacked mixture parameters and returns a scalar Tensor, so the model's
+forward pass chains straight into it and ``tape.backward`` gives the
+gradients.  Stage one trains on ``nll + lam * pcl``.  The asymmetric loss
+takes the linear classifier head's weight and bias instead, and is the
+whole of stage two's forward pass.
 """
 
 from __future__ import annotations
@@ -205,32 +206,39 @@ def pcl_loss_t(
     return tape.tsum(tape.constant(coef) * log_softmax)
 
 
-def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
-    """Asymmetric binary loss (Ridnik et al., 2021) summed over batch and
-    classes, as one tape op with a hand-derived VJP.
+def asl_loss_t(
+    weight: Tensor, bias: Tensor, embeddings, positive, cfg: AslConfig
+) -> Tensor:
+    """Asymmetric binary loss (Ridnik et al., 2021) of the linear sigmoid
+    head, summed over batch and classes, as one tape op with a
+    hand-derived VJP whose only parents are ``weight`` and ``bias``.
 
+    The head gives p = sigmoid(e @ weight + bias) for the (B, H)
+    embeddings e, and ``positive`` is the (B, C) boolean label mask y.
     With p_m = max(p - margin, 0), the loss is
     ``-sum [y (1-p)^g+ log p + (1-y) p_m^g- log(1 - p_m)]``.
-    VJP, for the output gradient G, entry by entry:
+    VJP, for the output gradient G: first dL/dp, entry by entry,
     ``G (g+ (1-p)^(g+ - 1) log p - (1-p)^g+ / p)`` where y = 1, and
     ``G (-g- p_m^(g- - 1) log(1 - p_m) + p_m^g- / (1 - p_m)) [p > margin]``
-    where y = 0.  An exponent of 0 makes its factor the constant 1 and
-    drops its derivative term.  At p = 1 the g+ term is taken as its limit,
-    0, which 0 < g+ < 1 would otherwise evaluate as 0 * inf.  A probability
-    of exactly 0 on a positive (or 1 with margin 0 on a negative) makes the
-    loss infinite, which the caller or backward() reports as a numeric
-    error.
+    where y = 0; then ``dz = dL/dp * p * (1 - p)``, ``e^T dz`` for the
+    weight and ``dz`` summed over the batch for the bias.  These are the
+    float operations of the matmul, add, sigmoid and loss ops this node
+    stands for, in their order.  An exponent of 0 makes its factor the
+    constant 1 and drops its derivative term.  At p = 1 the g+ term is
+    taken as its limit, 0, which 0 < g+ < 1 would otherwise evaluate as
+    0 * inf.  A probability of exactly 0 on a positive (or 1 with margin 0
+    on a negative) makes the loss infinite, which the caller or backward()
+    reports as a numeric error.
     """
-    p = probabilities.value
-    y = np.asarray(labels)
-    if p.ndim != 2 or y.shape != p.shape:
-        raise InputError("probabilities and labels must be (B, C) blocks of one shape")
-    if not ((y == 0) | (y == 1)).all():
-        raise InputError("label entries must be 0 or 1")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise InputError("probabilities must lie in [0, 1]")
+    w, b = weight.value, bias.value
+    e = np.asarray(embeddings, dtype=np.float64)
+    pos = np.asarray(positive)
+    if e.ndim != 2 or w.ndim != 2 or w.shape[0] != e.shape[1] or b.shape != w.shape[1:]:
+        raise InputError("the head needs (B, H) embeddings, an (H, C) weight and a (C,) bias")
+    if pos.dtype != bool or pos.shape != (e.shape[0], w.shape[1]):
+        raise InputError("positive must be a (B, C) boolean label mask")
+    p = tape.sigmoid_array(e @ w + b)
     gamma_pos, gamma_neg = float(cfg.gamma_pos), float(cfg.gamma_neg)
-    pos = y == 1
     # Each side is evaluated over the whole block with the other side's
     # entries pinned to safe values (p = 0.5, p_m = 0), so a masked entry
     # never takes log(0).
@@ -254,7 +262,10 @@ def asl_loss_t(probabilities: Tensor, labels, cfg: AslConfig) -> Tensor:
         d_neg = focus_neg / q_m
         if gamma_neg:
             d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)
-        grad = np.where(pos, d_pos, np.where(live, d_neg, 0.0))
-        return (g * grad,)
+        dz = g * np.where(pos, d_pos, np.where(live, d_neg, 0.0)) * p * (1.0 - p)
+        return (
+            e.T @ dz if weight.requires_grad else None,
+            dz.sum(axis=0) if bias.requires_grad else None,
+        )
 
-    return tape.node("asl", loss, (probabilities,), vjp)
+    return tape.node("asl", loss, (weight, bias), vjp)

@@ -2,8 +2,11 @@
 
 Parameters live in a flat ``dict[str, ndarray]`` keyed by dotted names
 (``enc.0.w``, ``mdn.pi.b``, ``cls.w`` ...) in a fixed insertion order.
-Forward passes run on the gradient tape; thin array wrappers over the
-encoder and classifier serve inference-style calls.
+The encoder and mixture-head forward passes run on the gradient tape, and
+a thin array wrapper over the encoder serves inference-style calls.  The
+linear classifier has no tape form here: stage two trains it inside the
+fused ``losses.asl_loss_t`` node, and ``classifier_forward`` computes the
+same probabilities on plain arrays.
 
 The mixture head emits, for each input, C mixture weights (softmax), C
 scalar component means (raw linear), C variances through ELU(raw) + 2 so
@@ -136,11 +139,6 @@ def mdn_forward_t(
     return weights, means, variances, targets
 
 
-def classifier_forward_t(pt: dict[str, Tensor], h: Tensor) -> Tensor:
-    """(B, embed_dim) -> per-class probabilities in (0, 1)."""
-    return tape.sigmoid(_affine(pt, "cls", h))
-
-
 def _as_batch(x, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -158,9 +156,10 @@ def encoder_forward(params: Params, x, cfg: ModelConfig) -> np.ndarray:
 
 
 def classifier_forward(params: Params, h, cfg: ModelConfig) -> np.ndarray:
+    """(B, embed_dim) -> per-class probabilities in [0, 1], the same bytes
+    as the head inside ``losses.asl_loss_t``."""
     arr = _as_batch(h, cfg.embed_dim, "embedding")
-    pt = params_to_tensors(params, trainable_prefixes=())
-    return classifier_forward_t(pt, tape.constant(arr)).value
+    return tape.sigmoid_array(arr @ params["cls.w"] + params["cls.b"])
 
 
 # -- checkpoint container ------------------------------------------------------

@@ -25,14 +25,20 @@ from pathlib import Path
 import numpy as np
 
 from . import tape
-from .config import ExperimentConfig, OptimConfig, config_hash, config_json, to_dict
+from .config import (
+    ExperimentConfig,
+    OptimConfig,
+    config_hash,
+    config_json,
+    differing_fields,
+    to_dict,
+)
 from .data import generate_synthetic, make_contrastive_batch, splitmix64
 from .errors import InputError, NumericError
 from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
 from .metrics import MetricsReport, PredictionSet, pr_f1_report, report_to_json
 from .model import (
     classifier_forward,
-    classifier_forward_t,
     encoder_bytes,
     encoder_forward,
     encoder_forward_t,
@@ -225,30 +231,37 @@ def _load_matching_checkpoint(cfg: ExperimentConfig, path, expected_kind: str):
     if ckpt.kind != expected_kind:
         raise InputError(f"{path}: expected a {expected_kind} checkpoint, got {ckpt.kind}")
     if ckpt.config_hash != config_hash(cfg):
-        raise InputError(f"{path}: checkpoint config hash does not match this config")
+        fields = ", ".join(differing_fields(ckpt.config, cfg))
+        raise InputError(
+            f"{path}: checkpoint config hash does not match this config"
+            + (f"; fields that differ: {fields}" if fields else "")
+        )
     return ckpt
 
 
 def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> ClassifierResult:
     """Stage two: train only the linear head; the encoder must not move.
 
-    Embeddings are precomputed once (the encoder is frozen), the head is
-    trained with the asymmetric loss on every batch including a trailing
-    partial one, and the encoder bytes are compared before and after as
-    a hard guarantee.
+    Embeddings are precomputed once (the encoder is frozen) and the
+    labels are checked to be 0 or 1 once.  The head is trained with the
+    asymmetric loss on every batch including a trailing partial one; each
+    step's tape holds the two head leaves and the one fused loss node.
+    The encoder bytes are compared before and after as a hard guarantee.
     """
     ckpt = _load_matching_checkpoint(cfg, contrastive_checkpoint, "contrastive")
     params = {name: value.copy() for name, value in ckpt.params.items()}
     features, labels, train_idx, hold_idx = dataset_split(cfg)
+    y_train = labels[train_idx]
+    if not ((y_train == 0) | (y_train == 1)).all():
+        raise InputError("label entries must be 0 or 1")
+    positive = y_train == 1
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frozen_before = encoder_bytes(params)
     embeddings = encoder_forward(params, features[train_idx], cfg.model)
-    y_train = labels[train_idx]
 
     def batch_loss(pt, idx):
-        probs = classifier_forward_t(pt, tape.constant(embeddings[idx]))
-        return (asl_loss_t(probs, y_train[idx], cfg.asl),)
+        return (asl_loss_t(pt["cls.w"], pt["cls.b"], embeddings[idx], positive[idx], cfg.asl),)
 
     rows = _fit(
         params,

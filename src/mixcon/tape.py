@@ -143,6 +143,15 @@ def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) 
     )
 
 
+def sigmoid_array(x: Array) -> Array:
+    """The logistic function of an array, split by sign so that neither
+    branch exponentiates a large positive value.  Every sigmoid in the
+    package is this one formula, so the training head and inference give
+    the same bytes."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 # -- elementwise binary ops ---------------------------------------------
 
 
@@ -229,15 +238,6 @@ def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.value)
     return node("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    # Split by sign so neither branch exponentiates a large positive value.
-    x = a.value
-    t = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def elu(a) -> Tensor:

@@ -2,13 +2,16 @@
 
 Everything here is written from the defining formulas with plain loops
 and ``math`` calls, deliberately not sharing code with the package, so a
-bug would have to be made twice to go unnoticed.  The two exceptions are
-the tape oracles :func:`composite_similarity_t` and
-:func:`composite_asl_t`.  They build the mixture similarity and the
-asymmetric loss from elementary tape ops, so that the tape differentiates
-them, as oracles for the gradients of the fused
-``losses.similarity_matrix_t`` and ``losses.asl_loss_t``.  The tape tools
-they and the tests need, but the package does not (:func:`pow_const`,
+bug would have to be made twice to go unnoticed.  The exceptions are
+the tape oracles.  :func:`composite_similarity_t` and
+:func:`composite_asl_t` build the mixture similarity and the asymmetric
+loss from elementary tape ops, so that the tape differentiates them, as
+oracles for the gradients of the fused ``losses.similarity_matrix_t`` and
+``losses.asl_loss_t``.  :func:`head_asl_t` is the stage-two chain that
+``losses.asl_loss_t`` replaced, the head's matmul, add and sigmoid ops
+feeding the probability-level loss op :func:`probability_asl_t`; the
+fused node must match it bit for bit.  The tape tools they and the tests
+need, but the package does not (:func:`sigmoid`, :func:`pow_const`,
 :func:`relu`, :func:`grads_of` and :func:`finite_diff_check`), live here
 too, as does :class:`PerArrayAdam`, the per-array update that the flat
 ``optim.adam_step`` must match bit for bit.
@@ -84,6 +87,11 @@ def naive_correlation(p, q) -> float:
 
 
 # -- tape tools: ops and gradient checks that only the oracles and tests use
+
+
+def sigmoid(a):
+    out = tape.sigmoid_array(a.value)
+    return tape.node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def pow_const(a, exponent: float):
@@ -232,6 +240,61 @@ def composite_asl_t(probabilities, labels, cfg):
     neg_term = pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
     gated = tape.where(pos_mask, pos_term, neg_term)
     return -tape.tsum(gated)
+
+
+def probability_asl_t(probabilities, labels, cfg):
+    """The asymmetric loss of a (B, C) probability Tensor against 0/1
+    labels, as one tape op with a hand-derived VJP: the loss op of the
+    stage-two chain before the head was fused into it."""
+    p = probabilities.value
+    y = np.asarray(labels)
+    if p.ndim != 2 or y.shape != p.shape:
+        raise InputError("probabilities and labels must be (B, C) blocks of one shape")
+    if not ((y == 0) | (y == 1)).all():
+        raise InputError("label entries must be 0 or 1")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise InputError("probabilities must lie in [0, 1]")
+    gamma_pos, gamma_neg = float(cfg.gamma_pos), float(cfg.gamma_neg)
+    pos = y == 1
+    p_pos = np.where(pos, p, 0.5)
+    q_pos = 1.0 - p_pos
+    log_pos = np.log(p_pos)
+    shifted = p - cfg.margin
+    live = ~pos & (shifted > 0.0)
+    p_m = np.where(live, shifted, 0.0)
+    q_m = 1.0 - p_m
+    log_neg = np.log(q_m)
+    focus_pos = np.power(q_pos, gamma_pos) if gamma_pos else 1.0
+    focus_neg = np.power(p_m, gamma_neg) if gamma_neg else 1.0
+    loss = -np.where(pos, focus_pos * log_pos, focus_neg * log_neg).sum()
+
+    def vjp(g):
+        d_pos = -focus_pos / p_pos
+        if gamma_pos:
+            focus_term = gamma_pos * log_pos * np.power(q_pos, gamma_pos - 1.0)
+            d_pos = np.where(q_pos > 0.0, focus_term, 0.0) + d_pos
+        d_neg = focus_neg / q_m
+        if gamma_neg:
+            d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)
+        grad = np.where(pos, d_pos, np.where(live, d_neg, 0.0))
+        return (g * grad,)
+
+    return tape.node("asl", loss, (probabilities,), vjp)
+
+
+def classifier_forward_t(weight, bias, embeddings):
+    """(B, H) embeddings -> per-class probabilities, as matmul, add and
+    sigmoid tape ops."""
+    return sigmoid(tape.matmul(tape.constant(embeddings), weight) + bias)
+
+
+def head_asl_t(weight, bias, embeddings, positive, cfg, loss_fn=probability_asl_t):
+    """The stage-two head and asymmetric loss as a chain of tape ops, with
+    the signature of the fused ``losses.asl_loss_t``.  ``loss_fn`` is the
+    probability-level loss: :func:`probability_asl_t` or
+    :func:`composite_asl_t`."""
+    probs = classifier_forward_t(weight, bias, embeddings)
+    return loss_fn(probs, np.asarray(positive).astype(np.int64), cfg)
 
 
 def naive_jaccard(a, b) -> float:

@@ -358,18 +358,21 @@ def test_criterion_9_rerun_determinism(directional_runs, tmp_path):
 
 def test_criterion_10_asl_degeneracies():
     rng = np.random.default_rng(77)
-    probs = rng.uniform(0.02, 0.98, (6, 4))
-    labels = rng.integers(0, 2, (6, 4))
+    weight, bias = rng.normal(size=(5, 4)), rng.normal(size=4)
+    embeddings = rng.normal(size=(6, 5))
+    labels = rng.integers(0, 2, (6, 4)) == 1
     plain_cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.0, margin=0.0)
-    plain = float(asl_loss_t(tape.constant(probs), labels, plain_cfg).value)
-    bce_err = abs(plain - naive_bce(probs, labels))
-    low = np.full((2, 3), 0.03)
-    zeros = np.zeros((2, 3), dtype=np.int64)
-    low_leaf = tape.leaf(low)
-    clipped = asl_loss_t(low_leaf, zeros, AslConfig())
+    plain = asl_loss_t(tape.constant(weight), tape.constant(bias), embeddings, labels, plain_cfg)
+    probs = tape.sigmoid_array(embeddings @ weight + bias)
+    bce_err = abs(float(plain.value) - naive_bce(probs, labels))
+    # A zero weight and this bias put every p at 0.03, under the default
+    # margin of 0.05, on negatives.
+    low_w, low_b = tape.leaf(np.zeros((3, 3))), tape.leaf(np.full(3, math.log(0.03 / 0.97)))
+    zeros = np.zeros((2, 3), dtype=bool)
+    clipped = asl_loss_t(low_w, low_b, rng.normal(size=(2, 3)), zeros, AslConfig())
     clipped_value = float(clipped.value)
-    (clipped_grad,) = grads_of(clipped, [low_leaf])
-    clipped_ok = clipped_value == 0.0 and np.all(clipped_grad == 0.0)
+    clipped_grads = grads_of(clipped, [low_w, low_b])
+    clipped_ok = clipped_value == 0.0 and all(np.all(g == 0.0) for g in clipped_grads)
     record(
         10,
         "asymmetric loss degenerates to BCE; clipped negatives are flat zero",

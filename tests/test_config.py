@@ -13,6 +13,7 @@ from mixcon.config import (
     OptimConfig,
     config_hash,
     config_json,
+    differing_fields,
     from_json,
     load_config,
     save_config,
@@ -41,6 +42,32 @@ def test_hash_covers_seed_and_nested_fields():
     )
     assert config_hash(tweaked) != config_hash(base)
     assert config_hash(ExperimentConfig()) == config_hash(base)
+
+
+def test_default_config_hash_is_pinned():
+    # Checkpoints written by earlier versions carry this hash; a change to
+    # the default config or its JSON form would orphan them.
+    assert config_hash(ExperimentConfig()) == (
+        "c101df145341212478aaeb7b6db79f1651b4f235cd8ff3800c64a39b7472de56"
+    )
+
+
+def test_differing_fields_names_dotted_paths_in_json_form():
+    base = ExperimentConfig()
+    other = dataclasses.replace(base, seed=3, loss=dataclasses.replace(base.loss, lam=0.5))
+    # A checkpoint holds the config as loaded JSON: tuples come back as lists.
+    stored = json.loads(config_json(other))
+    assert differing_fields(stored, base) == ["loss.lam", "seed"]
+    assert differing_fields(json.loads(config_json(base)), base) == []
+    stored = json.loads(config_json(base))
+    stored["asl"]["gamma_pos"] = False
+    stored["optim"]["batch_size"] = 64.0
+    del stored["augment"]
+    stored["extra"] = 1
+    assert differing_fields(stored, base) == [
+        "asl.gamma_pos", "augment", "extra", "optim.batch_size",
+    ]
+    assert differing_fields([1], base) == ["config"]
 
 
 def test_file_round_trip(tmp_path):
@@ -117,6 +144,8 @@ def test_optim_validation():
         ("augment", "jitter_scale", True),
         ("loss", "tau", True),
         ("asl", "margin", False),
+        (None, "threshold", "0.5"),
+        (None, "threshold", True),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):

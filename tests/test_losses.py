@@ -1,6 +1,7 @@
 """Loss values against analytic fixtures and the brute-force transcription."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -388,63 +389,91 @@ def test_total_loss_gradient_is_linear_combination():
 
 
 # -- asl -------------------------------------------------------------------------
+#
+# asl_loss_t is the linear sigmoid head and the loss in one node.  The
+# tests below place its probabilities through the logits: see head_at.
+
+
+def logit(p):
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p / (1.0 - p))
+
+
+def head_at(logits, leaf=False):
+    """Head operands whose logits are exactly the (B, C) ``logits``: the
+    logits as the weight, identity embeddings and a zero bias.  The
+    weight's gradient is then dL/dz, entry by entry."""
+    z = np.array(logits, dtype=np.float64)
+    wrap = tape.leaf if leaf else tape.constant
+    return wrap(z), wrap(np.zeros(z.shape[1])), np.eye(z.shape[0])
 
 
 def test_asl_reduces_to_bce_when_disabled():
     rng = np.random.default_rng(53)
-    probs = rng.uniform(0.05, 0.95, size=(6, 4))
-    labels = (rng.random((6, 4)) < 0.5).astype(int)
+    logits = rng.uniform(-3.0, 3.0, size=(6, 4))
+    labels = rng.random((6, 4)) < 0.5
     cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.0, margin=0.0)
-    value = float(asl_loss_t(tape.constant(probs), labels, cfg).value)
-    assert value == pytest.approx(reference.naive_bce(probs, labels), abs=1e-12)
+    value = float(asl_loss_t(*head_at(logits), labels, cfg).value)
+    want = reference.naive_bce(tape.sigmoid_array(logits), labels)
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_asl_hand_fixtures():
-    one = np.array([[1]])
-    value = asl_loss_t(tape.constant(np.array([[0.9]])), one, AslConfig(gamma_pos=0.0))
+    one = np.array([[True]])
+    value = asl_loss_t(*head_at([[math.log(9.0)]]), one, AslConfig(gamma_pos=0.0))
     assert float(value.value) == pytest.approx(-math.log(0.9), rel=1e-12)
-    perfect = asl_loss_t(tape.constant(np.array([[1.0]])), one, AslConfig())
+    # A logit of 40 rounds p to exactly 1.
+    perfect = asl_loss_t(*head_at([[40.0]]), one, AslConfig())
     assert float(perfect.value) == 0.0
 
 
 def test_asl_matches_direct_reference():
     rng = np.random.default_rng(59)
-    probs = rng.uniform(0.0, 1.0, size=(5, 3))
-    labels = (rng.random((5, 3)) < 0.5).astype(int)
+    logits = rng.uniform(-6.0, 6.0, size=(5, 3))
+    labels = rng.random((5, 3)) < 0.5
     cfg = AslConfig(gamma_pos=1.5, gamma_neg=4.0, margin=0.05)
-    value = float(asl_loss_t(tape.constant(probs), labels, cfg).value)
-    expected = reference.naive_asl(probs, labels, 1.5, 4.0, 0.05)
+    value = float(asl_loss_t(*head_at(logits), labels, cfg).value)
+    expected = reference.naive_asl(tape.sigmoid_array(logits), labels, 1.5, 4.0, 0.05)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_asl_clipped_negatives_have_zero_value_and_gradient():
-    cfg = AslConfig()  # margin 0.05
-    probs = tape.leaf(np.array([[0.01, 0.05, 0.2]]))
-    labels = np.array([[0, 0, 0]])
-    (grad,) = reference.grads_of(asl_loss_t(probs, labels, cfg), [probs])
+    # No logit gives p = 0.05 exactly, so the margin is set to the p of a
+    # logit of -3 to put that entry on the clip.
+    cfg = AslConfig(margin=float(tape.sigmoid_array(np.float64(-3.0))))
+    weight, bias, embeddings = head_at([[-4.6, -3.0, -1.4]], leaf=True)
+    labels = np.array([[False, False, False]])
+    loss = asl_loss_t(weight, bias, embeddings, labels, cfg)
+    (grad,) = reference.grads_of(loss, [weight])
     below, at_margin, above = grad[0]
     assert below == 0.0 and at_margin == 0.0
     assert above != 0.0
-    clipped_only = asl_loss_t(tape.constant(np.array([[0.01, 0.05]])), np.array([[0, 0]]), cfg)
+    clipped_only = asl_loss_t(*head_at([[-4.6, -3.0]]), np.array([[False, False]]), cfg)
     assert float(clipped_only.value) == 0.0
 
 
 def test_asl_validation():
+    weight, bias, embeddings = head_at([[0.0, 0.0]])
+    mask = np.array([[True, False]])
+    cfg = AslConfig()
+    with pytest.raises(InputError):  # a mask of another shape
+        asl_loss_t(weight, bias, embeddings, np.array([[True]]), cfg)
+    with pytest.raises(InputError):  # 0/1 labels are not a mask
+        asl_loss_t(weight, bias, embeddings, np.array([[1, 0]]), cfg)
+    with pytest.raises(InputError):  # embeddings of another width
+        asl_loss_t(weight, bias, np.ones((1, 3)), mask, cfg)
+    with pytest.raises(InputError):  # a bias of another width
+        asl_loss_t(weight, tape.constant(np.zeros(3)), embeddings, mask, cfg)
+    # A 1-D block is not read as one row.
     with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([[1.2]])), np.array([[1]]), AslConfig())
-    with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([[0.5, 0.5]])), np.array([[1]]), AslConfig())
-    with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([[0.5]])), np.array([[2]]), AslConfig())
-    # A 1-D block is no longer read as one row.
-    with pytest.raises(InputError):
-        asl_loss_t(tape.constant(np.array([0.5, 0.5])), np.array([1, 0]), AslConfig())
+        asl_loss_t(weight, bias, np.ones(1), mask, cfg)
 
 
 def test_asl_infinite_loss_surfaces_as_numeric_error():
-    probs = tape.leaf(np.array([[0.0]]))
+    # A logit of -800 rounds p to exactly 0, here on a positive.
+    weight, bias, embeddings = head_at([[-800.0]], leaf=True)
     with np.errstate(divide="ignore"):
-        loss = asl_loss_t(probs, np.array([[1]]), AslConfig())
+        loss = asl_loss_t(weight, bias, embeddings, np.array([[True]]), AslConfig())
     assert loss.value == np.inf
     with pytest.raises(NumericError):
         tape.backward(loss)
@@ -454,18 +483,17 @@ def test_asl_gradient_at_a_certain_positive_is_its_limit():
     """With 0 < gamma_pos < 1, the focusing term's derivative at p = 1 is
     0 * inf as written; its limit, 0, is what backward must report."""
     cfg = AslConfig(gamma_pos=0.5)
-    probs, labels = np.array([[1.0, 0.3]]), np.array([[1, 0]])
-    leaf = tape.leaf(probs)
-    (grad,) = reference.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
+    labels = np.array([[True, False]])
+    z = logit(0.3)
+    weight, bias, embeddings = head_at([[40.0, z]], leaf=True)
+    (grad,) = reference.grads_of(asl_loss_t(weight, bias, embeddings, labels, cfg), [weight])
     assert grad[0, 0] == 0.0
+
+    def value_at(z_neg):
+        return float(asl_loss_t(*head_at([[40.0, z_neg]]), labels, cfg).value)
+
     step = 1e-6
-    hi, lo = probs.copy(), probs.copy()
-    hi[0, 1] += step
-    lo[0, 1] -= step
-    numeric = (
-        float(asl_loss_t(tape.constant(hi), labels, cfg).value)
-        - float(asl_loss_t(tape.constant(lo), labels, cfg).value)
-    ) / (2 * step)
+    numeric = (value_at(z + step) - value_at(z - step)) / (2 * step)
     assert grad[0, 1] == pytest.approx(numeric, rel=1e-6)
 
 
@@ -473,52 +501,52 @@ def test_asl_gradient_at_a_certain_positive_is_its_limit():
 @given(st.integers(0, 2**32 - 1))
 def test_asl_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    probs = rng.uniform(0.1, 0.9, size=(1, 4))
-    labels = (rng.random((1, 4)) < 0.5).astype(int)
+    # |e @ w| <= 0.9 and |b| <= 1.1 keep p in [0.12, 0.88], so no
+    # perturbation crosses the kink of the clip at the margin.
+    embeddings = rng.uniform(0.5, 1.5, size=(1, 3))
+    params = {
+        "w": rng.uniform(-0.2, 0.2, size=(3, 4)),
+        "b": logit(rng.uniform(0.25, 0.75, size=4)),
+    }
+    labels = rng.random((1, 4)) < 0.5
     cfg = AslConfig(gamma_pos=1.0, gamma_neg=4.0, margin=0.05)
-    leaf = tape.leaf(probs)
-    (grad,) = reference.grads_of(asl_loss_t(leaf, labels, cfg), [leaf])
-    step = 1e-6
-    for i in range(4):
-        if abs(probs[0, i] - cfg.margin) < 10 * step:
-            continue  # kink of the clip; one-sided gradients differ there
-        hi, lo = probs.copy(), probs.copy()
-        hi[0, i] += step
-        lo[0, i] -= step
-        numeric = (
-            float(asl_loss_t(tape.constant(hi), labels, cfg).value)
-            - float(asl_loss_t(tape.constant(lo), labels, cfg).value)
-        ) / (2 * step)
-        denom = max(abs(grad[0, i]), abs(numeric), 1e-8)
-        assert abs(grad[0, i] - numeric) / denom < 1e-4
-
-
-def assert_asl_matches_composite_graph(probs, labels, cfg, read_out=1.0):
-    """Value and gradient of the fused op against the composite-graph
-    oracle at 1e-12 relative, entry by entry.  The loss enters backward
-    scaled by ``read_out``, so the VJP also sees an output gradient G != 1."""
-    results = []
-    for loss_fn in (asl_loss_t, reference.composite_asl_t):
-        leaf = tape.leaf(np.array(probs, dtype=np.float64))
-        loss = loss_fn(leaf, labels, cfg)
-        tape.backward(loss * read_out)
-        results.append((loss.value, leaf.grad))
-    (value, grad), (want_value, want_grad) = results
-    np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=0)
-    assert grad.shape == np.shape(probs)
-    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)
+    worst = reference.finite_diff_check(
+        params, lambda t: asl_loss_t(t["w"], t["b"], embeddings, labels, cfg), step=1e-4
+    )
+    assert worst < 1e-4
 
 
 def asl_block(rng, margin, shape=(7, 5)):
-    """Random probabilities with negatives placed exactly at the margin and
-    at 0, and a positive at 1; no positive at 0, where the loss is infinite."""
-    labels = (rng.random(shape) < 0.4).astype(int)
-    labels.flat[:4] = (0, 0, 1, 0)
-    probs = rng.uniform(0.01, 0.99, size=shape)
-    probs.flat[:4] = (margin, 0.0, 1.0, 0.5)
-    if margin == 0.0:
-        probs[(labels == 0) & (probs > 0.99)] = 0.99  # p = 1 on a negative is infinite
-    return probs, labels
+    """Random logits and labels, with a negative at the margin's logit, a
+    negative at p = 0 (logit -800), a positive at p = 1 (logit 40) and a
+    negative at p = 0.5; no positive at p = 0, where the loss is infinite,
+    and no negative at p = 1."""
+    positive = rng.random(shape) < 0.4
+    positive.flat[:4] = (False, False, True, False)
+    logits = logit(rng.uniform(0.01, 0.99, size=shape))
+    logits.flat[:4] = (logit(margin) if margin else -800.0, -800.0, 40.0, 0.0)
+    return logits, positive
+
+
+def assert_asl_matches_composite_graph(logits, positive, cfg, read_out=1.0):
+    """Value and gradients of the fused op against the head's tape ops
+    chained into the composite-graph loss, at 1e-12 relative.  The weight
+    gradient is dL/dz entry by entry (see head_at).  The bias gradient
+    sums each column over positives and negatives, which have opposite
+    signs, so it gets 1e-12 of the column's absolute sum.  The loss enters
+    backward scaled by ``read_out``, so the VJP also sees G != 1."""
+    composite = partial(reference.head_asl_t, loss_fn=reference.composite_asl_t)
+    results = []
+    for loss_fn in (asl_loss_t, composite):
+        weight, bias, embeddings = head_at(logits, leaf=True)
+        loss = loss_fn(weight, bias, embeddings, positive, cfg)
+        tape.backward(loss * read_out)
+        results.append((loss.value, weight.grad, bias.grad))
+    (value, gw, gb), (want_value, want_gw, want_gb) = results
+    np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=0)
+    assert gw.shape == np.shape(logits) and gb.shape == np.shape(logits)[1:]
+    np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=0)
+    assert np.all(np.abs(gb - want_gb) <= 1e-12 * np.abs(want_gw).sum(axis=0))
 
 
 @pytest.mark.parametrize("gamma_pos", [0.0, 1.0, 4.0])
@@ -527,16 +555,61 @@ def asl_block(rng, margin, shape=(7, 5)):
 def test_asl_op_matches_composite_graph(gamma_pos, gamma_neg, margin):
     cfg = AslConfig(gamma_pos=gamma_pos, gamma_neg=gamma_neg, margin=margin)
     rng = np.random.default_rng(int(100 * gamma_pos + 10 * gamma_neg + 100 * margin))
-    probs, labels = asl_block(rng, margin)
-    assert_asl_matches_composite_graph(probs, labels, cfg)
-    assert_asl_matches_composite_graph(probs, labels, cfg, read_out=-2.5)
-    assert_asl_matches_composite_graph(probs[:1], labels[:1], cfg)
+    logits, positive = asl_block(rng, margin)
+    assert_asl_matches_composite_graph(logits, positive, cfg)
+    assert_asl_matches_composite_graph(logits, positive, cfg, read_out=-2.5)
+    assert_asl_matches_composite_graph(logits[:1], positive[:1], cfg)
 
 
 def test_asl_op_on_a_constant_has_no_vjp():
     cfg = AslConfig(gamma_pos=1.0)
-    probs, labels = asl_block(np.random.default_rng(61), cfg.margin)
-    loss = asl_loss_t(tape.constant(probs), labels, cfg)
+    logits, positive = asl_block(np.random.default_rng(61), cfg.margin)
+    operands = head_at(logits)
+    loss = asl_loss_t(*operands, positive, cfg)
     assert not loss.requires_grad and loss._backward is None
-    want = reference.composite_asl_t(tape.constant(probs), labels, cfg).value
-    np.testing.assert_allclose(loss.value, want, rtol=1e-12, atol=0)
+    want = reference.head_asl_t(*operands, positive, cfg, loss_fn=reference.composite_asl_t)
+    np.testing.assert_allclose(loss.value, want.value, rtol=1e-12, atol=0)
+
+
+def head_batch(rng, margin, b=9, h=5, c=4):
+    """Random head operands whose first two rows have logits in the
+    thousands and of opposite signs, so that p rounds to exactly 0 or 1
+    there, and each value occurs.  Row 0's entries at p = 1 are positives;
+    row 1 is all negatives when the margin keeps p = 1 finite on a
+    negative, and labelled like row 0 otherwise."""
+    weight = rng.normal(size=(h, c))
+    bias = rng.normal(size=c)
+    embeddings = rng.normal(size=(b, h))
+    embeddings[0] *= 1e4
+    embeddings[1] = -embeddings[0]
+    positive = rng.random((b, c)) < 0.4
+    saturated = embeddings[:2] @ weight + bias > 0.0
+    positive[0] = saturated[0]
+    positive[1] = False if margin else saturated[1]
+    return weight, bias, embeddings, positive
+
+
+@pytest.mark.parametrize("gamma_pos", [0.0, 0.5])
+@pytest.mark.parametrize("gamma_neg", [0.0, 4.0])
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_asl_op_matches_the_tape_chain_bit_for_bit(gamma_pos, gamma_neg, margin, seed):
+    """The fused node against the matmul, add, sigmoid and probability-level
+    loss ops it replaced: the same floats in the same order, so the loss
+    and both gradients are equal bit for bit, for G = 1 and G != 1."""
+    cfg = AslConfig(gamma_pos=gamma_pos, gamma_neg=gamma_neg, margin=margin)
+    weight, bias, embeddings, positive = head_batch(np.random.default_rng(seed), margin)
+    probs = tape.sigmoid_array(embeddings @ weight + bias)
+    assert (probs[:2] == 0.0).any() and (probs[:2] == 1.0).any()
+    for read_out in (1.0, -2.5):
+        results = []
+        for loss_fn in (asl_loss_t, reference.head_asl_t):
+            w, b = tape.leaf(weight), tape.leaf(bias)
+            loss = loss_fn(w, b, embeddings, positive, cfg)
+            tape.backward(loss * read_out)
+            results.append((loss.value, w.grad, b.grad))
+        (value, gw, gb), (want_value, want_gw, want_gb) = results
+        assert np.isfinite(value)
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(gw, want_gw)
+        np.testing.assert_array_equal(gb, want_gb)

@@ -25,6 +25,8 @@ from mixcon.model import (
     save_checkpoint,
 )
 
+from reference import classifier_forward_t
+
 CFG = ModelConfig(
     input_dim=6, encoder_hidden=(8,), embed_dim=5, mixture_dim=3, num_classes=4,
     mdn_hidden=(7, 6),
@@ -173,6 +175,9 @@ def test_classifier_matches_hand_sigmoid():
     probs = classifier_forward(params, h, CFG)
     hand = 1.0 / (1.0 + np.exp(-(h @ params["cls.w"] + params["cls.b"])))
     np.testing.assert_allclose(probs, hand, rtol=1e-12)
+    # The same bytes as the head's matmul, add and sigmoid tape ops.
+    weight, bias = tape.constant(params["cls.w"]), tape.constant(params["cls.b"])
+    np.testing.assert_array_equal(probs, classifier_forward_t(weight, bias, h).value)
     assert np.all((probs > 0) & (probs < 1))
 
 
@@ -201,7 +206,7 @@ def test_frozen_prefixes_exclude_gradients():
     pt = params_to_tensors(params, trainable_prefixes=("cls.",))
     assert pt["cls.w"].requires_grad and not pt["enc.0.w"].requires_grad
     x = tape.constant(np.random.default_rng(4).normal(size=(3, 5)))
-    loss = tape.tsum(tape.sigmoid(tape.matmul(x, pt["cls.w"]) + pt["cls.b"]))
+    loss = tape.tsum(tape.tanh(tape.matmul(x, pt["cls.w"]) + pt["cls.b"]))
     tape.backward(loss)
     assert pt["cls.w"].grad is not None
     assert pt["enc.0.w"].grad is None

@@ -122,15 +122,18 @@ class TestPipeline:
         # 90 training rows in batches of 30: three steps per epoch.
         cfg = tiny_config()
         r1 = train_contrastive(cfg, tmp_path)
-        forward = pipeline.classifier_forward_t
+        loss_fn = pipeline.asl_loss_t
         calls = []
 
-        def zero_at_step_four(pt, h):
+        def zero_at_step_four(weight, bias, embeddings, positive, asl):
+            # A bias of -1000 rounds every p to exactly 0, so each
+            # positive's log p is -inf.
             calls.append(None)
-            probs = forward(pt, h)
-            return probs * 0.0 if len(calls) == 5 else probs
+            if len(calls) == 5:
+                bias = bias - 1000.0
+            return loss_fn(weight, bias, embeddings, positive, asl)
 
-        monkeypatch.setattr(pipeline, "classifier_forward_t", zero_at_step_four)
+        monkeypatch.setattr(pipeline, "asl_loss_t", zero_at_step_four)
         with pytest.raises(NumericError) as info:
             train_classifier(cfg, r1.checkpoint, tmp_path)
         assert str(info.value) == "loss is non-finite (classifier objective, epoch 1, step 4)"
@@ -138,19 +141,64 @@ class TestPipeline:
     def test_backward_numeric_error_keeps_the_op_and_adds_where(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         r1 = train_contrastive(cfg, tmp_path)
-        forward = pipeline.classifier_forward_t
+        loss_fn = pipeline.asl_loss_t
 
-        def infinite_slope(pt, h):
+        def infinite_slope(*args):
             # A finite value whose backward divides by sqrt(0).
-            probs = forward(pt, h)
-            return tape.sqrt(probs * 0.0) + 0.5
+            return tape.sqrt(loss_fn(*args) * 0.0) + 0.5
 
-        monkeypatch.setattr(pipeline, "classifier_forward_t", infinite_slope)
+        monkeypatch.setattr(pipeline, "asl_loss_t", infinite_slope)
         with pytest.raises(NumericError) as info:
             train_classifier(cfg, r1.checkpoint, tmp_path)
         assert str(info.value) == (
             "non-finite gradient produced by op 'sqrt' (classifier objective, epoch 0, step 0)"
         )
+
+    def test_a_stage_two_step_tapes_two_leaves_and_one_node(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        r1 = train_contrastive(cfg, tmp_path)
+        built, steps = [], []
+        init = tape.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.op)
+
+        wrap, update = pipeline.params_to_tensors, pipeline.adam_step
+
+        def wrap_from_scratch(*args):
+            built.clear()
+            return wrap(*args)
+
+        def recording_update(*args):
+            steps.append(list(built))
+            return update(*args)
+
+        monkeypatch.setattr(tape.Tensor, "__init__", counting_init)
+        monkeypatch.setattr(pipeline, "params_to_tensors", wrap_from_scratch)
+        monkeypatch.setattr(pipeline, "adam_step", recording_update)
+        train_classifier(cfg, r1.checkpoint, tmp_path)
+        assert steps == [["leaf", "leaf", "asl"]] * 6
+
+    def test_labels_other_than_0_or_1_fail_before_the_first_step(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        r1 = train_contrastive(cfg, tmp_path)
+        split = pipeline.dataset_split
+
+        def two_in_the_labels(run_cfg):
+            features, labels, train_idx, hold_idx = split(run_cfg)
+            labels = labels.copy()
+            labels[train_idx[-1], 0] = 2
+            return features, labels, train_idx, hold_idx
+
+        def no_step(*args):
+            raise AssertionError("stage two took a step")
+
+        monkeypatch.setattr(pipeline, "dataset_split", two_in_the_labels)
+        monkeypatch.setattr(pipeline, "asl_loss_t", no_step)
+        with pytest.raises(InputError, match="label entries must be 0 or 1"):
+            train_classifier(cfg, r1.checkpoint, tmp_path / "two")
+        assert not (tmp_path / "two").exists()
 
     def test_fit_wraps_the_leaves_after_adam_owns_the_parameters(self):
         # Adam moves the trainable parameters into its flat buffer; leaves
@@ -398,7 +446,11 @@ class TestCli:
             "train-classifier", "--config", str(cfg_path), "--seed", "77",
             "--checkpoint", str(run / "contrastive.ckpt"), "--out", str(out),
         ]) == 2
-        assert "config hash does not match" in capsys.readouterr().err
+        # The model's hidden sizes are tuples here and lists in the
+        # checkpoint; only the seed differs.
+        assert "config hash does not match this config; fields that differ: seed\n" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
         # A marginal this small cannot draw a label vector with any label.
         hopeless = tiny_config(data=dataclasses.replace(tiny_config().data, marginal=1e-9))
@@ -415,6 +467,16 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "must be a number, not True" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_threshold_is_a_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
+        payload["threshold"] = "0.5"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "threshold must be a number, not '0.5'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_size_in_config_file_is_a_config_error(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mixcon import tape
 from mixcon.errors import InputError, NumericError
 
-from reference import grads_of, pow_const, relu
+from reference import grads_of, pow_const, relu, sigmoid
 
 
 def central_diff(fn, arrays, step=1e-6):
@@ -53,7 +53,7 @@ RNG = np.random.default_rng(7)
         lambda ts: tape.tsum(ts[0] * ts[1]),
         lambda ts: tape.tsum(ts[0] / (ts[1] * ts[1] + 2.0)),
         lambda ts: tape.tsum(-ts[0] + tape.exp(ts[1] * 0.3)),
-        lambda ts: tape.tsum(tape.tanh(ts[0]) * tape.sigmoid(ts[1])),
+        lambda ts: tape.tsum(tape.tanh(ts[0]) * sigmoid(ts[1])),
         lambda ts: tape.tsum(tape.log(ts[0] * ts[0] + 1.5)),
         lambda ts: tape.tsum(tape.sqrt(ts[0] * ts[0] + 2.0) * ts[1]),
         lambda ts: tape.tsum(tape.elu(ts[0] * 3.0) + relu(ts[1] - 0.2)),
