@@ -5,6 +5,8 @@ them to distinct exit codes: bad inputs or configuration on one side,
 numerical breakdown at runtime on the other.
 """
 
+import math
+
 
 class InputError(ValueError):
     """A caller-supplied value violates a documented precondition."""
@@ -23,8 +25,11 @@ def check_ints(what: str, *values) -> None:
 
 
 def check_floats(what: str, *values) -> None:
-    """Raise InputError unless every value is a real number; a bool, which
-    JSON ``true`` and ``false`` load as, is not one."""
+    """Raise InputError unless every value is a finite real number; a bool,
+    which JSON ``true`` and ``false`` load as, is not one, and neither is
+    the NaN or infinity that JSON ``NaN`` and ``Infinity`` load as."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"{what} must be a number, not {value!r}")
+        if not math.isfinite(value):
+            raise InputError(f"{what} must be finite, not {value!r}")

@@ -119,21 +119,34 @@ def similarity_matrix_t(
     ``gw_ik = sum_jl Gs_ij w_jl P_ijkl``,
     ``gm_ik = -dim sum_jl Gs_ij K delta / s``,
     ``gv_ik = (dim/2) sum_jl Gs_ij K (delta^2 / s - 1) / s``.
-    A parameter block that needs no gradient gets None.  Both passes
-    visit each pair i <= j once: X is symmetric, and the VJP credits each
-    pair's terms to both of its ends.
+    A parameter block that needs no gradient gets None.
+
+    Layout: the symmetry is taken over component pairs, not mixture pairs.
+    Each component pair r = (k, l) with k <= l (R = C(C+1)/2 of them) is
+    one (B, B) block over every mixture pair (i, j), so ``s``, ``q`` and
+    ``P`` are (R, B, B) arrays indexed [r, i, j].  The blocks sum to
+    ``U_ij = sum_r half_r w_ik w_jl P_ijkl`` and ``X = U + U^T``: a k < l
+    block also stands for (l, k), its transpose, so ``half`` is 1 there
+    and 0.5 on the k = l blocks, which the transpose would count twice.
+    As L = sum_ij Gs_ij U_ij, the VJP reduces each block at both of its
+    ends: the k end, ``half_r sum_j Gs_ij w_jl F_rij``, feeds component k
+    of mixture i, and the l end, ``parity half_r sum_i Gs_ij w_ik F_rij``,
+    feeds component l of mixture j, where F is the factor (P, P q or
+    P (q^2 - 1/s), with q = delta / s) and parity is -1 for the means,
+    whose delta changes sign with the end, and 1 otherwise.
+    ``np.add.at`` sums the R block ends into the (C, B) gradient.
     """
-    b, _ = _check_param_block(weights, means, variances)
-    w, m, v = weights.value, means.value, variances.value
-    # X is symmetric, so each pair p = (i, j) with i <= j is computed once.
-    # The (P, C, C) blocks are indexed [p, k, l]: component k of mixture i
-    # against component l of mixture j.
-    ii, jj = np.triu_indices(b)
-    s = v[ii, :, None] + v[jj, None, :]
-    q = (m[ii, :, None] - m[jj, None, :]) / s
+    b, c = _check_param_block(weights, means, variances)
+    # (C, B): row k holds component k of every mixture.
+    w, m, v = weights.value.T, means.value.T, variances.value.T
+    kk, ll = np.triu_indices(c)
+    half = np.where(kk == ll, 0.5, 1.0)[:, None]
+    w_k, w_l = w[kk] * half, w[ll]
+    s = v[kk, :, None] + v[ll, None, :]
+    q = (m[kk, :, None] - m[ll, None, :]) / s
     pair = np.exp((np.log(s * (2.0 * np.pi)) + q * q * s) * (-0.5 * dim))
-    x = np.empty((b, b))
-    x[ii, jj] = x[jj, ii] = np.einsum("pk,pl,pkl->p", w[ii], w[jj], pair)
+    u = np.einsum("ri,rj,rij->ij", w_k, w_l, pair)
+    x = u + u.T
     d = x.diagonal()
     root = np.sqrt(np.outer(d, d))
     sim = x / root
@@ -142,31 +155,21 @@ def similarity_matrix_t(
         g_sim = g * sim
         gx = g / root
         gx[np.diag_indices(b)] -= 0.5 * (g_sim.sum(axis=1) + g_sim.sum(axis=0)) / d
-        # Gs per pair.  A diagonal pair is one term of the full sum but is
-        # credited to both of its ends below, so it is halved.
-        h = (gx + gx.T)[ii, jj]
-        h[ii == jj] *= 0.5
-        hw_i, hw_j = h[:, None] * w[ii], h[:, None] * w[jj]
-        # Pairs come in row-major order, so those of one i are contiguous;
-        # by_j makes those of one j contiguous.
-        by_j = np.argsort(jj, kind="stable")
-        starts_i = np.searchsorted(ii, np.arange(b))
-        starts_j = np.searchsorted(jj[by_j], np.arange(b))
+        gs = gx + gx.T
 
         def both_ends(factor, parity):
-            """(B, C) sum_jl Gs_ij w_jl factor_ijkl over the full grid, from the
-            pairs' i ends and, with factor_jilk = parity * factor_ijkl, j ends."""
-            at_i = np.einsum("pl,pkl->pk", hw_j, factor)
-            at_j = np.einsum("pk,pkl->pl", hw_i, factor)
-            return np.add.reduceat(at_i, starts_i) + parity * np.add.reduceat(
-                at_j[by_j], starts_j
-            )
+            """(B, C) sum_jl Gs_ij w_jl factor_ijkl, from each block's k end
+            and, with factor_jilk = parity * factor_ijkl, its l end."""
+            out = np.zeros((c, b))
+            np.add.at(out, kk, half * np.einsum("ij,rj,rij->ri", gs, w_l, factor))
+            np.add.at(out, ll, parity * np.einsum("ij,ri,rij->rj", gs, w_k, factor))
+            return out.T
 
         gw = both_ends(pair, 1.0) if weights.requires_grad else None
-        gm = both_ends(pair * q, -1.0) * w * -dim if means.requires_grad else None
+        gm = both_ends(pair * q, -1.0) * w.T * -dim if means.requires_grad else None
         gv = None
         if variances.requires_grad:
-            gv = both_ends(pair * (q * q - 1.0 / s), 1.0) * w * (0.5 * dim)
+            gv = both_ends(pair * (q * q - 1.0 / s), 1.0) * w.T * (0.5 * dim)
         return gw, gm, gv
 
     return tape.node("similarity", sim, (weights, means, variances), vjp)

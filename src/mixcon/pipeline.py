@@ -18,6 +18,7 @@ same config.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,7 @@ from .errors import InputError, NumericError
 from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
 from .metrics import MetricsReport, PredictionSet, pr_f1_report, report_to_json
 from .model import (
+    _layer_sizes,
     classifier_forward,
     encoder_bytes,
     encoder_forward,
@@ -236,6 +238,20 @@ def _load_matching_checkpoint(cfg: ExperimentConfig, path, expected_kind: str):
             f"{path}: checkpoint config hash does not match this config"
             + (f"; fields that differ: {fields}" if fields else "")
         )
+    # The tensors must be the model's, in parameter order: (name, shape)
+    # for each layer's weight, then its bias.
+    layout = [
+        (f"{name}.{part}", shape)
+        for name, fan_in, fan_out in _layer_sizes(cfg.model)
+        for part, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))
+    ]
+    found = [(name, value.shape) for name, value in ckpt.params.items()]
+    for want, got in itertools.zip_longest(layout, found):
+        if want != got:
+            want, got = (f"{t[0]!r} of shape {t[1]}" if t else "no tensor" for t in (want, got))
+            raise InputError(
+                f"{path}: checkpoint tensors do not fit the model: expected {want}, found {got}"
+            )
     return ckpt
 
 

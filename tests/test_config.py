@@ -146,6 +146,13 @@ def test_optim_validation():
         ("asl", "margin", False),
         (None, "threshold", "0.5"),
         (None, "threshold", True),
+        # JSON NaN and Infinity load as floats that pass a bound check such
+        # as lam < 0, and no config holding them can be hashed.
+        ("loss", "lam", float("nan")),
+        ("optim", "peak_lr", float("inf")),
+        ("data", "noise_scale", float("nan")),
+        ("asl", "gamma_neg", float("inf")),
+        ("augment", "jitter_scale", float("inf")),
     ],
 )
 def test_bad_values_in_a_config_file_raise_input_error(tmp_path, section, key, value):

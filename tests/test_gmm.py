@@ -203,3 +203,4 @@ def test_correlation_bounds_and_symmetry(seed):
     sim = similarity(random_mixture(rng, dim=dim), random_mixture(rng, dim=dim))
     assert 0.0 < sim[0, 1] <= 1.0 + 1e-12
     assert sim[1, 0] == pytest.approx(sim[0, 1], rel=1e-14, abs=0)
+    assert np.array_equal(sim, sim.T)

@@ -162,6 +162,8 @@ def assert_matches_composite_graph(w, m, v, dim, seed, trainable=(True, True, Tr
         tape.backward(tape.tsum(sim * tape.constant(g)))
         results.append([sim.value] + [b.grad for b in blocks])
     fused, oracle = results
+    # X = U + U^T, so the similarity is symmetric bit for bit.
+    assert np.array_equal(fused[0], fused[0].T)
     for got, want, t in zip(fused, oracle, (True, *trainable)):
         if not t:
             assert got is None and want is None
@@ -170,8 +172,10 @@ def assert_matches_composite_graph(w, m, v, dim, seed, trainable=(True, True, Tr
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
-def test_similarity_op_matches_composite_graph_at_training_shape():
-    w, m, v, _ = random_batch(np.random.default_rng(21), 128, 6, 4)
+# 128 views at the default batch size, 16 at train-b8's.
+@pytest.mark.parametrize("b", [128, 16])
+def test_similarity_op_matches_composite_graph_at_training_shape(b):
+    w, m, v, _ = random_batch(np.random.default_rng(21), b, 6, 4)
     assert_matches_composite_graph(w, m, v, 4, seed=22)
 
 

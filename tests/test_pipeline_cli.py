@@ -469,6 +469,73 @@ class TestCli:
         assert "must be a number, not True" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_float_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
+        payload["optim"]["peak_lr"] = float("inf")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert "Infinity" in cfg_path.read_text()
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "learning rate and schedule fractions must be finite, not inf" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_non_finite_sweep_value_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "sweep"
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0,nan", "--out", str(out),
+        ]) == 2
+        assert "must be finite, not nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "transposed", "renamed"])
+    def test_checkpoint_tensors_that_do_not_fit_the_model_are_a_config_error(
+        self, tmp_path, capsys, damage
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        run = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert main([
+            "train-classifier", "--config", str(cfg_path),
+            "--checkpoint", str(run / "contrastive.ckpt"), "--out", str(run),
+        ]) == 0
+        capsys.readouterr()
+        for stage, kind in (("train-classifier", "contrastive"), ("evaluate", "classifier")):
+            magic, header, data = (run / f"{kind}.ckpt").read_bytes().split(b"\n", 2)
+            payload = json.loads(header)
+            tensors = payload["tensors"]
+            cls_w = next(i for i, t in enumerate(tensors) if t["name"] == "cls.w")
+            if damage == "missing":
+                # Drop cls.w and its bytes; the bias after it is kept.
+                offset = 8 * sum(int(np.prod(t["shape"])) for t in tensors[:cls_w])
+                size = 8 * int(np.prod(tensors[cls_w]["shape"]))
+                data = data[:offset] + data[offset + size:]
+                del tensors[cls_w]
+                named = "expected 'cls.w' of shape (8, 3), found 'cls.b' of shape (3,)"
+            elif damage == "transposed":
+                tensors[0]["shape"] = tensors[0]["shape"][::-1]
+                named = "expected 'enc.0.w' of shape (10, 16), found 'enc.0.w' of shape (16, 10)"
+            else:
+                tensors[0]["name"] = "enc.0.weight"
+                named = "expected 'enc.0.w' of shape (10, 16), found 'enc.0.weight'"
+            bad = tmp_path / f"bad_{kind}.ckpt"
+            bad.write_bytes(magic + b"\n" + json.dumps(payload).encode() + b"\n" + data)
+            out = tmp_path / f"out_{kind}"
+            target = out if stage == "train-classifier" else out / "eval.json"
+            assert main([
+                stage, "--config", str(cfg_path),
+                "--checkpoint", str(bad), "--out", str(target),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "checkpoint tensors do not fit the model" in err and named in err
+            assert not out.exists()
+
     def test_string_threshold_is_a_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(dataclasses.asdict(tiny_config())))
         payload["threshold"] = "0.5"
