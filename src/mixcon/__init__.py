@@ -7,29 +7,22 @@ seed, byte-stable artifacts.
 """
 
 from .config import (
+    AslConfig,
+    AugmentConfig,
+    ContrastiveLossConfig,
     DataConfig,
     ExperimentConfig,
+    ModelConfig,
     OptimConfig,
     config_hash,
     load_config,
     save_config,
 )
-from .data import (
-    AugmentConfig,
-    ContrastiveBatch,
-    generate_synthetic,
-    make_contrastive_batch,
-)
+from .data import ContrastiveBatch, generate_synthetic, make_contrastive_batch
 from .errors import InputError, NumericError
-from .losses import (
-    AslConfig,
-    ContrastiveLossConfig,
-    asl_loss_t,
-    nll_loss_t,
-    pcl_loss_t,
-)
+from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
 from .metrics import MetricsReport, PredictionSet, average_precision, pr_f1_report
-from .model import Checkpoint, ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .model import Checkpoint, init_params, load_checkpoint, save_checkpoint
 from .overlap import overlap_matrix, positive_mask
 from .pipeline import ablate, evaluate, train_classifier, train_contrastive
 

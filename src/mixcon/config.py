@@ -1,8 +1,10 @@
 """Experiment configuration: one frozen tree, one canonical JSON form.
 
-Every training artifact embeds the canonical JSON and its SHA-256 hash,
-so two artifacts with equal hashes were produced from byte-identical
-configurations (including the seed).
+Every config class of the package is defined here, with the checks its
+fields must pass; the other modules only read them.  Every training
+artifact embeds the canonical JSON and its SHA-256 hash, so two artifacts
+with equal hashes were produced from byte-identical configurations
+(including the seed).
 """
 
 from __future__ import annotations
@@ -10,12 +12,30 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
-from .data import AugmentConfig
-from .errors import InputError, check_floats, check_ints
-from .losses import AslConfig, ContrastiveLossConfig
-from .model import ModelConfig
+from .errors import InputError
+from .overlap import MEASURES
+
+
+def _check_ints(what: str, *values) -> None:
+    """Raise InputError unless every value is an int; a bool or a float
+    with an integral value is not one."""
+    for value in values:
+        if type(value) is not int:
+            raise InputError(f"{what} must be of type int, not {value!r}")
+
+
+def _check_floats(what: str, *values) -> None:
+    """Raise InputError unless every value is a finite real number; a bool,
+    which JSON ``true`` and ``false`` load as, is not one, and neither is
+    the NaN or infinity that JSON ``NaN`` and ``Infinity`` load as."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{what} must be a number, not {value!r}")
+        if not math.isfinite(value):
+            raise InputError(f"{what} must be finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +52,8 @@ class DataConfig:
     holdout_frac: float = 0.25
 
     def __post_init__(self):
-        check_ints("data sizes", self.num_samples, self.num_classes, self.input_dim)
-        check_floats(
+        _check_ints("data sizes", self.num_samples, self.num_classes, self.input_dim)
+        _check_floats(
             "data fractions and scales",
             self.marginal,
             self.boost,
@@ -53,6 +73,73 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
+class ModelConfig:
+    input_dim: int
+    encoder_hidden: tuple[int, ...] = (128,)
+    embed_dim: int = 32
+    mixture_dim: int = 4
+    num_classes: int = 6
+    mdn_hidden: tuple[int, ...] = (128, 64)
+
+    def __post_init__(self):
+        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
+        object.__setattr__(self, "mdn_hidden", tuple(self.mdn_hidden))
+        dims = (
+            self.input_dim,
+            self.embed_dim,
+            self.mixture_dim,
+            self.num_classes,
+            *self.encoder_hidden,
+            *self.mdn_hidden,
+        )
+        _check_ints("model dimensions", *dims)
+        if any(d < 1 for d in dims):
+            raise InputError("all model dimensions must be >= 1")
+
+
+@dataclass(frozen=True)
+class ContrastiveLossConfig:
+    """Contrastive-stage hyperparameters.
+
+    tau: softmax temperature; alpha: overlap threshold for positive sets;
+    lam: weight of the contrastive term in the total loss; measure: label
+    overlap backend.
+    """
+
+    tau: float = 0.2
+    alpha: float = 0.6
+    lam: float = 0.3
+    measure: str = "jaccard"
+
+    def __post_init__(self):
+        _check_floats("tau, alpha and lambda", self.tau, self.alpha, self.lam)
+        if not self.tau > 0.0:
+            raise InputError(f"tau must be positive, got {self.tau!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if self.lam < 0.0:
+            raise InputError(f"lambda must be >= 0, got {self.lam!r}")
+        if self.measure not in MEASURES:
+            raise InputError(f"unknown overlap measure {self.measure!r}")
+
+
+@dataclass(frozen=True)
+class AslConfig:
+    """Asymmetric-loss hyperparameters (published defaults)."""
+
+    gamma_pos: float = 0.0
+    gamma_neg: float = 4.0
+    margin: float = 0.05
+
+    def __post_init__(self):
+        _check_floats("ASL exponents and margin", self.gamma_pos, self.gamma_neg, self.margin)
+        if self.gamma_pos < 0.0 or self.gamma_neg < 0.0:
+            raise InputError("focusing exponents must be >= 0")
+        if not 0.0 <= self.margin < 1.0:
+            raise InputError(f"margin must lie in [0, 1), got {self.margin!r}")
+
+
+@dataclass(frozen=True)
 class OptimConfig:
     peak_lr: float = 3e-3
     batch_size: int = 64
@@ -63,13 +150,13 @@ class OptimConfig:
     start_factor: float = 0.04
 
     def __post_init__(self):
-        check_ints(
+        _check_ints(
             "batch size and epoch counts",
             self.batch_size,
             self.contrastive_epochs,
             self.classifier_epochs,
         )
-        check_floats(
+        _check_floats(
             "learning rate and schedule fractions",
             self.peak_lr,
             self.warmup_frac,
@@ -89,6 +176,26 @@ class OptimConfig:
 
 
 @dataclass(frozen=True)
+class AugmentConfig:
+    """Label-preserving vector perturbations; zero magnitudes = identity."""
+
+    jitter_scale: float = 0.1
+    dropout_prob: float = 0.1
+    scale_jitter: float = 0.1
+
+    def __post_init__(self):
+        _check_floats(
+            "augmentation magnitudes", self.jitter_scale, self.dropout_prob, self.scale_jitter
+        )
+        if self.jitter_scale < 0.0:
+            raise InputError("jitter_scale must be >= 0")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise InputError("dropout_prob must lie in [0, 1)")
+        if not 0.0 <= self.scale_jitter < 1.0:
+            raise InputError("scale_jitter must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     data: DataConfig = DataConfig()
     model: ModelConfig = ModelConfig(input_dim=24)
@@ -100,8 +207,8 @@ class ExperimentConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        check_ints("seed", self.seed)
-        check_floats("threshold", self.threshold)
+        _check_ints("seed", self.seed)
+        _check_floats("threshold", self.threshold)
         if self.model.input_dim != self.data.input_dim:
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:

@@ -20,14 +20,11 @@ reproducible as a whole from its seed, not view by view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, NumericError, check_floats
-
-if TYPE_CHECKING:
-    from .config import DataConfig
+from .config import AugmentConfig, DataConfig
+from .errors import InputError, NumericError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,26 +45,6 @@ def splitmix64(seed: int, stream: int) -> int:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Label-preserving vector perturbations; zero magnitudes = identity."""
-
-    jitter_scale: float = 0.1
-    dropout_prob: float = 0.1
-    scale_jitter: float = 0.1
-
-    def __post_init__(self):
-        check_floats(
-            "augmentation magnitudes", self.jitter_scale, self.dropout_prob, self.scale_jitter
-        )
-        if self.jitter_scale < 0.0:
-            raise InputError("jitter_scale must be >= 0")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise InputError("dropout_prob must lie in [0, 1)")
-        if not 0.0 <= self.scale_jitter < 1.0:
-            raise InputError("scale_jitter must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -120,9 +97,7 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
     return features, labels
 
 
-def make_contrastive_batch(
-    features, labels, seed: int, cfg: AugmentConfig = AugmentConfig()
-) -> ContrastiveBatch:
+def make_contrastive_batch(features, labels, seed: int, cfg: AugmentConfig) -> ContrastiveBatch:
     """Two augmented views per sample, labels duplicated.
 
     Each view adds Gaussian jitter, zeroes a random coordinate subset and

@@ -11,59 +11,13 @@ whole of stage two's forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tape
-from .errors import InputError, check_floats
-from .overlap import MEASURES, overlap_matrix, positive_mask
+from .config import AslConfig, ContrastiveLossConfig
+from .errors import InputError, NumericError
+from .overlap import overlap_matrix, positive_mask
 from .tape import Tensor
-
-
-@dataclass(frozen=True)
-class ContrastiveLossConfig:
-    """Contrastive-stage hyperparameters.
-
-    tau: softmax temperature; alpha: overlap threshold for positive sets;
-    lam: weight of the contrastive term in the total loss; measure: label
-    overlap backend.
-    """
-
-    tau: float = 0.2
-    alpha: float = 0.6
-    lam: float = 0.3
-    measure: str = "jaccard"
-
-    def __post_init__(self):
-        check_floats("tau, alpha and lambda", self.tau, self.alpha, self.lam)
-        if not self.tau > 0.0:
-            raise InputError(f"tau must be positive, got {self.tau!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if self.lam < 0.0:
-            raise InputError(f"lambda must be >= 0, got {self.lam!r}")
-        if self.measure not in MEASURES:
-            raise InputError(f"unknown overlap measure {self.measure!r}")
-
-
-@dataclass(frozen=True)
-class AslConfig:
-    """Asymmetric-loss hyperparameters (published defaults)."""
-
-    gamma_pos: float = 0.0
-    gamma_neg: float = 4.0
-    margin: float = 0.05
-
-    def __post_init__(self):
-        check_floats("ASL exponents and margin", self.gamma_pos, self.gamma_neg, self.margin)
-        if self.gamma_pos < 0.0 or self.gamma_neg < 0.0:
-            raise InputError("focusing exponents must be >= 0")
-        if not 0.0 <= self.margin < 1.0:
-            raise InputError(f"margin must lie in [0, 1), got {self.margin!r}")
-
-
-# -- tensor-level losses ----------------------------------------------------
 
 
 def _check_param_block(weights: Tensor, means: Tensor, variances: Tensor) -> tuple[int, int]:
@@ -79,14 +33,14 @@ def nll_loss_t(weights: Tensor, means: Tensor, variances: Tensor, targets: Tenso
     """Sum over the batch of -log p(z_i | mixture_i).
 
     Weights must be strictly positive: the log-space path differentiates
-    log(pi_k), whose gradient is undefined at 0.  Softmax outputs always
-    satisfy this.
+    log(pi_k), whose gradient is undefined at 0.  A softmax weight that
+    underflows to 0 is a numeric failure, so this raises NumericError.
     """
     b, c = _check_param_block(weights, means, variances)
     if targets.value.ndim != 2 or targets.value.shape[0] != b:
         raise InputError("targets must be a (B, n) block matching the batch")
     if np.any(weights.value <= 0.0):
-        raise InputError("nll_loss requires strictly positive mixture weights")
+        raise NumericError("nll_loss requires strictly positive mixture weights")
     n = targets.value.shape[1]
     diff = tape.reshape(targets, (b, 1, n)) - tape.reshape(means, (b, c, 1))
     sq = tape.tsum(diff * diff, axis=2)

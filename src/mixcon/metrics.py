@@ -15,12 +15,12 @@ implementation exactly" is a well-defined, order-independent statement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import canonical_json
 from .errors import InputError, NumericError
 
 
@@ -183,4 +183,4 @@ def report_to_json(report: MetricsReport, **extra) -> str:
     }
     for key, value in extra.items():
         payload[key] = value
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return canonical_json(payload)

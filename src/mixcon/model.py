@@ -23,38 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape
-from .errors import InputError, NumericError, check_ints
+from .config import ModelConfig, canonical_json
+from .errors import InputError, NumericError
 from .tape import Tensor
 
 CHECKPOINT_MAGIC = b"MIXCON1"
 NORM_GUARD = 1e-12
 
 Params = dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    input_dim: int
-    encoder_hidden: tuple[int, ...] = (128,)
-    embed_dim: int = 32
-    mixture_dim: int = 4
-    num_classes: int = 6
-    mdn_hidden: tuple[int, ...] = (128, 64)
-
-    def __post_init__(self):
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        object.__setattr__(self, "mdn_hidden", tuple(self.mdn_hidden))
-        dims = (
-            self.input_dim,
-            self.embed_dim,
-            self.mixture_dim,
-            self.num_classes,
-            *self.encoder_hidden,
-            *self.mdn_hidden,
-        )
-        check_ints("model dimensions", *dims)
-        if any(d < 1 for d in dims):
-            raise InputError("all model dimensions must be >= 1")
 
 
 def _layer_sizes(cfg: ModelConfig) -> list[tuple[str, int, int]]:
@@ -196,7 +172,7 @@ def save_checkpoint(
         "tensors": manifest,
         "version": 1,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    header_bytes = canonical_json(header).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(header_bytes + b"\n")

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import OptimConfig
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from .config import OptimConfig
 
 Params = dict[str, np.ndarray]
 

@@ -14,7 +14,7 @@ from .errors import InputError
 MEASURES = ("jaccard", "cosine")
 
 
-def overlap_matrix(labels, measure: str = "jaccard") -> np.ndarray:
+def overlap_matrix(labels, measure: str) -> np.ndarray:
     """Pairwise overlap D for a stack of label vectors, shape (m, m).
 
     With the Gram matrix G = Y Y^T, jaccard is G_ij / (G_ii + G_jj - G_ij)

@@ -21,24 +21,18 @@ import pytest
 from scipy.integrate import quad
 
 import acceptance_log
-from mixcon.config import DataConfig, ExperimentConfig, OptimConfig
-from mixcon.errors import InputError
-from mixcon.losses import (
+from mixcon.config import (
     AslConfig,
     ContrastiveLossConfig,
-    asl_loss_t,
-    nll_loss_t,
-    pcl_loss_t,
-    similarity_matrix_t,
-)
-from mixcon.metrics import PredictionSet, average_precision, pr_f1_report
-from mixcon.model import (
+    DataConfig,
+    ExperimentConfig,
     ModelConfig,
-    encoder_forward_t,
-    init_params,
-    mdn_forward_t,
-    params_to_tensors,
+    OptimConfig,
 )
+from mixcon.errors import InputError
+from mixcon.losses import asl_loss_t, nll_loss_t, pcl_loss_t, similarity_matrix_t
+from mixcon.metrics import PredictionSet, average_precision, pr_f1_report
+from mixcon.model import encoder_forward_t, init_params, mdn_forward_t, params_to_tensors
 from mixcon.overlap import overlap_matrix, positive_mask
 from mixcon.pipeline import train_classifier, train_contrastive
 from mixcon import tape
@@ -236,7 +230,7 @@ def test_criterion_6_positive_set_nesting():
         batch = int(rng.integers(2, 9))
         labels = rng.integers(0, 2, (batch, num_classes))
         labels[labels.sum(axis=1) == 0, 0] = 1
-        overlap = overlap_matrix(labels)
+        overlap = overlap_matrix(labels, "jaccard")
         tight = positive_mask(overlap, 0.9)
         mid = positive_mask(overlap, 0.5)
         loose = positive_mask(overlap, 0.1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mixcon.config import (
     DataConfig,
     ExperimentConfig,
+    ModelConfig,
     OptimConfig,
     config_hash,
     config_json,
@@ -20,7 +21,6 @@ from mixcon.config import (
     to_dict,
 )
 from mixcon.errors import InputError
-from mixcon.model import ModelConfig
 
 
 def test_round_trip_preserves_everything():

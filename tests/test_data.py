@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from mixcon.config import DataConfig
+from mixcon.config import AugmentConfig, DataConfig
 from mixcon.data import (
     STREAM_PROTOTYPES,
-    AugmentConfig,
     generate_synthetic,
     make_contrastive_batch,
     splitmix64,
@@ -255,9 +254,9 @@ class TestAugment:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            make_contrastive_batch(np.zeros(3), np.zeros((3, 1)), 0)
+            make_contrastive_batch(np.zeros(3), np.zeros((3, 1)), 0, AugmentConfig())
         with pytest.raises(NumericError):
-            make_contrastive_batch(np.array([[0.0, np.nan]]), np.ones((1, 1)), 0)
+            make_contrastive_batch(np.array([[0.0, np.nan]]), np.ones((1, 1)), 0, AugmentConfig())
         with pytest.raises(InputError):
             AugmentConfig(dropout_prob=1.0)
         with pytest.raises(InputError):
@@ -270,7 +269,7 @@ class TestContrastiveBatch:
         feats = rng.standard_normal((5, 6))
         labels = rng.integers(0, 2, (5, 3))
         labels[:, 0] = 1
-        batch = make_contrastive_batch(feats, labels, seed=99)
+        batch = make_contrastive_batch(feats, labels, seed=99, cfg=AugmentConfig())
         assert batch.views.shape == (10, 6)
         assert np.array_equal(batch.labels, np.repeat(labels, 2, axis=0))
         # One generator draws the jitter, keep and scale blocks of all ten
@@ -285,9 +284,9 @@ class TestContrastiveBatch:
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            make_contrastive_batch(np.zeros((0, 3)), np.zeros((0, 2)), 0)
+            make_contrastive_batch(np.zeros((0, 3)), np.zeros((0, 2)), 0, AugmentConfig())
         with pytest.raises(InputError):
-            make_contrastive_batch(np.zeros((3, 3)), np.zeros((2, 2)), 0)
+            make_contrastive_batch(np.zeros((3, 3)), np.zeros((2, 2)), 0, AugmentConfig())
 
 
 class TestSplitmix:

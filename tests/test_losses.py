@@ -9,15 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcon import losses, tape
+from mixcon.config import AslConfig, ContrastiveLossConfig
 from mixcon.errors import InputError, NumericError
-from mixcon.losses import (
-    AslConfig,
-    ContrastiveLossConfig,
-    asl_loss_t,
-    nll_loss_t,
-    pcl_loss_t,
-    similarity_matrix_t,
-)
+from mixcon.losses import asl_loss_t, nll_loss_t, pcl_loss_t, similarity_matrix_t
 
 import reference
 from reference import Mixture
@@ -129,8 +123,9 @@ def test_nll_validation():
         nll_loss_t(*single, tape.constant(np.zeros((2, 2))))  # batch mismatch
     with pytest.raises(InputError):
         nll_loss_t(*single, tape.constant(np.zeros(2)))  # targets not (B, n)
+    # A weight that underflowed to 0 is a runtime failure, not a bad input.
     zero_weight = constants([[1.0, 0.0]], np.zeros((1, 2)), np.ones((1, 2)))
-    with pytest.raises(InputError):
+    with pytest.raises(NumericError, match="strictly positive mixture weights"):
         nll_loss_t(*zero_weight, tape.constant(np.zeros((1, 2))))
 
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcon import tape
+from mixcon.config import ModelConfig
 from mixcon.errors import InputError, NumericError
 from mixcon.model import (
     Checkpoint,
-    ModelConfig,
     classifier_forward,
     encoder_bytes,
     encoder_forward,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mixcon import tape
-from mixcon.config import OptimConfig
+from mixcon.config import ContrastiveLossConfig, ModelConfig, OptimConfig
 from mixcon.errors import InputError
-from mixcon.losses import ContrastiveLossConfig, nll_loss_t, pcl_loss_t
-from mixcon.model import ModelConfig, encoder_forward_t, init_params, mdn_forward_t
+from mixcon.losses import nll_loss_t, pcl_loss_t
+from mixcon.model import encoder_forward_t, init_params, mdn_forward_t
 from mixcon.optim import adam_step, init_adam, one_cycle_lr
 
 from reference import PerArrayAdam, finite_diff_check

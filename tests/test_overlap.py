@@ -51,7 +51,7 @@ def test_all_zero_convention_and_validation():
         assert d[0, 0] == d[0, 1] == d[0, 2] == d[2, 0] == 0.0
         assert d[2, 2] == 1.0
     with pytest.raises(InputError):
-        overlap_matrix(np.array([1, 0, 1]))
+        overlap_matrix(np.array([1, 0, 1]), "jaccard")
     with pytest.raises(InputError):
         overlap_matrix(np.array([[1, 2], [1, 0]]), "cosine")
 
@@ -106,7 +106,7 @@ def test_overlap_matrix_rejects_callable():
 
 def test_identical_labels_fill_every_set():
     labels = np.tile(np.array([1, 0, 1]), (6, 1))
-    d = overlap_matrix(labels)
+    d = overlap_matrix(labels, "jaccard")
     mask = positive_mask(d, alpha=0.6)
     for i, row in enumerate(mask):
         assert row.sum() == 5
@@ -116,7 +116,7 @@ def test_identical_labels_fill_every_set():
 
 def test_disjoint_labels_empty_every_set():
     labels = np.eye(4, dtype=int)
-    assert not positive_mask(overlap_matrix(labels), alpha=0.5).any()
+    assert not positive_mask(overlap_matrix(labels, "jaccard"), alpha=0.5).any()
 
 
 def test_three_vector_fixture():
@@ -130,11 +130,11 @@ def test_three_vector_fixture():
 
 def test_positive_set_validation():
     with pytest.raises(InputError):
-        overlap_matrix(np.zeros((0, 3), dtype=int))
+        overlap_matrix(np.zeros((0, 3), dtype=int), "jaccard")
     with pytest.raises(InputError):
-        positive_mask(overlap_matrix(np.array([[1, 0]])), alpha=0.5)
+        positive_mask(overlap_matrix(np.array([[1, 0]]), "jaccard"), alpha=0.5)
     with pytest.raises(InputError):
-        positive_mask(overlap_matrix(np.array([[1, 0], [0, 1]])), alpha=1.5)
+        positive_mask(overlap_matrix(np.array([[1, 0], [0, 1]]), "jaccard"), alpha=1.5)
     with pytest.raises(InputError):
         positive_mask(np.zeros((2, 3)), alpha=0.5)
     with pytest.raises(InputError):
@@ -159,7 +159,7 @@ def test_nesting_of_positive_sets(seed, c):
     rng = np.random.default_rng(seed)
     labels = (rng.random((8, c)) < 0.5).astype(int)
     labels[labels.sum(axis=1) == 0, 0] = 1
-    d = overlap_matrix(labels)
+    d = overlap_matrix(labels, "jaccard")
     high, mid, low = (positive_mask(d, a) for a in (0.9, 0.5, 0.1))
     assert not (high & ~mid).any()
     assert not (mid & ~low).any()
@@ -168,7 +168,7 @@ def test_nesting_of_positive_sets(seed, c):
 def test_exhaustive_nesting_for_small_label_spaces():
     for c in (2, 3, 4):
         labels = np.stack(all_nonzero_vectors(c))
-        d = overlap_matrix(labels)
+        d = overlap_matrix(labels, "jaccard")
         high, mid, low = (positive_mask(d, a) for a in (0.9, 0.5, 0.1))
         assert not (high & ~mid).any()
         assert not (mid & ~low).any()
@@ -177,7 +177,7 @@ def test_exhaustive_nesting_for_small_label_spaces():
 def test_mean_positive_set_size():
     """The sweep's mean |A(i)| is the mask's count over anchors."""
     labels = np.array([[1, 0], [1, 0], [0, 1]])
-    mask = positive_mask(overlap_matrix(labels), alpha=0.5)
+    mask = positive_mask(overlap_matrix(labels, "jaccard"), alpha=0.5)
     assert int(mask.sum()) / len(labels) == 2 / 3
     assert positive_pair_count(labels, "jaccard", 0.5) / len(labels) == 2 / 3
     assert [int(n) for n in mask.sum(axis=1)] == [1, 1, 0]

@@ -90,6 +90,45 @@ def test_every_config_field_is_read_by_the_program():
     assert unread == set()
 
 
+def is_dataclass_def(node):
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+        for d in node.decorator_list
+    )
+
+
+def package_imports(tree):
+    """Package modules that ``tree`` imports, by bare name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mixcon."):
+            names.add(node.module.split(".", 1)[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".", 1)[1] for a in node.names if a.name.startswith("mixcon."))
+    return names
+
+
+def test_config_tree_lives_in_config_module():
+    # config.py defines every config class and the canonical JSON, and
+    # leans on no module that reads a config, so no module needs a
+    # TYPE_CHECKING import to break an import cycle.
+    misplaced, type_checking = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if is_dataclass_def(node) and node.name.endswith("Config") and path.name != "config.py":
+                misplaced.append(f"{path.name}:{node.name}")
+            if "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None)):
+                type_checking.append(path.name)
+        if path.name == "config.py":
+            assert package_imports(tree) <= {"errors", "overlap"}
+    assert misplaced == []
+    assert type_checking == []
+
+
 def test_import_loads_no_test_dependency():
     # numpy is the only runtime dependency; scipy, hypothesis and pytest
     # serve the tests alone.

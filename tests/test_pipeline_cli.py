@@ -15,16 +15,17 @@ import pytest
 from mixcon import pipeline, tape
 from mixcon.cli import main
 from mixcon.config import (
+    ContrastiveLossConfig,
     DataConfig,
     ExperimentConfig,
+    ModelConfig,
     OptimConfig,
     config_hash,
     load_config,
     save_config,
 )
 from mixcon.errors import InputError, NumericError
-from mixcon.losses import ContrastiveLossConfig
-from mixcon.model import ModelConfig, encoder_bytes, load_checkpoint
+from mixcon.model import encoder_bytes, load_checkpoint
 from mixcon.optim import one_cycle_lr
 from mixcon.pipeline import ablate, evaluate, train_classifier, train_contrastive
 
@@ -363,6 +364,26 @@ class TestCli:
         ckpt = load_checkpoint(out / "contrastive.ckpt")
         assert ckpt.seed == 9
         assert ckpt.config_hash == config_hash(tiny_config(seed=9))
+
+    def test_underflowed_mixture_weight_is_a_numeric_failure(self, tmp_path, capsys):
+        # At this learning rate a stage-one softmax weight underflows to 0
+        # in epoch 4: a runtime failure (exit 4), not a config error (2).
+        cfg = ExperimentConfig(
+            data=DataConfig(num_samples=400),
+            optim=OptimConfig(peak_lr=3.0, batch_size=32, contrastive_epochs=5),
+            seed=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, cfg)
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert "mixture weights" in err and "total objective, epoch" in err and "step" in err
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0,0.3", "--out", str(tmp_path / "sweep"),
+        ]) == 1
+        rows = read_csv_rows(tmp_path / "sweep" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["failed:NumericError"] * 2
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_exit_codes(self, tmp_path, capsys):
