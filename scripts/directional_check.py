@@ -1,8 +1,9 @@
 """Paired-seed comparison: does the contrastive term help held-out mAP?
 
-Trains the two-stage pipeline with the weighted-contrastive term on
-(lambda from the config, default 0.3) and off (lambda 0) for each seed,
-then prints per-seed holdout mAP and the paired mean difference.
+For each seed, runs ``pipeline.ablate`` over lambda from the config
+(default 0.3) and lambda 0, then prints per-seed holdout mAP and the paired
+mean difference.  A seed whose sweep has a failed row ends the script with
+exit status 1, naming the seed.
 
 Usage: python scripts/directional_check.py [--config cfg.json] [--seeds 0,1,2,3,4]
 """
@@ -16,13 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mixcon.config import ExperimentConfig, load_config
-from mixcon.pipeline import train_classifier, train_contrastive
-
-
-def run(cfg, out_dir):
-    stage_one = train_contrastive(cfg, out_dir)
-    stage_two = train_classifier(cfg, stage_one.checkpoint, out_dir)
-    return stage_two.report.map
+from mixcon.pipeline import ablate
 
 
 def main():
@@ -36,11 +31,11 @@ def main():
     with_pcl, without_pcl = [], []
     for seed in seeds:
         cfg = dataclasses.replace(base, seed=seed)
-        off = dataclasses.replace(
-            cfg, loss=dataclasses.replace(cfg.loss, lam=0.0)
-        )
-        m_on = run(cfg, Path(args.out) / f"seed{seed}" / "pcl")
-        m_off = run(off, Path(args.out) / f"seed{seed}" / "baseline")
+        sweep = ablate(cfg, "lambda", [repr(cfg.loss.lam), "0"], Path(args.out) / f"seed{seed}")
+        if sweep.failed:
+            statuses = ", ".join(f"lambda={row[1]}: {row[-1]}" for row in sweep.rows)
+            sys.exit(f"seed {seed}: {statuses}")
+        (_, _, m_on, *_), (_, _, m_off, *_) = sweep.rows
         with_pcl.append(m_on)
         without_pcl.append(m_off)
         print(f"seed {seed}: mAP with contrastive {m_on:.4f}, without {m_off:.4f}, diff {m_on - m_off:+.4f}")

@@ -262,6 +262,9 @@ def differing_fields(stored, cfg: ExperimentConfig) -> list[str]:
 
 
 def from_dict(payload: dict) -> ExperimentConfig:
+    stray = payload.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if stray:
+        raise InputError(f"malformed experiment config: unknown keys {sorted(stray)}")
     try:
         return ExperimentConfig(
             data=DataConfig(**payload["data"]),

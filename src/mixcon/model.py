@@ -206,6 +206,8 @@ def load_checkpoint(path) -> Checkpoint:
         config, digest = header["config"], header["config_hash"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    if header.get("dtype") != "<f8":
+        raise InputError(f"{path}: unsupported checkpoint dtype {header.get('dtype')!r}")
     params: Params = {}
     offset = header_end + 1
     for name, shape in manifest:

@@ -6,9 +6,11 @@ steps (30% by default) and decays with another half-cosine to
 endpoint values directly, so lr(warmup_end) == peak and
 lr(total) == peak * final_factor hold exactly, not just approximately.
 
-Adam keeps the parameters it trains in one flat buffer, so a step is a
-fixed handful of whole-buffer numpy operations however many arrays the
-model has.
+Adam (Kingma & Ba, 2015) with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8
+keeps its own copy of the parameters it trains in one flat buffer, so a
+step is three whole-buffer expressions however many arrays the model has.
+The caller's parameter dict is left as it was; read the trained values
+from ``state.views``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .errors import InputError
 
 Params = dict[str, np.ndarray]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -30,8 +36,7 @@ class AdamState:
 
     ``views`` maps the trained parameters, in update order, to their
     values: slices of ``flat``, back to back in that order, each reshaped
-    to its parameter's shape.  :func:`init_adam` puts those views into the
-    caller's parameter dict.  ``m`` and ``v`` are the first and second
+    to its parameter's shape.  ``m`` and ``v`` are the first and second
     moments, laid out like ``flat``.
     """
 
@@ -40,85 +45,55 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: Params, keys: tuple[str, ...] | None = None) -> AdamState:
-    """Zeroed moments for ``keys`` (default: every parameter).
+def init_adam(params: Params, keys: tuple[str, ...]) -> AdamState:
+    """Zeroed moments, and a copy of ``params[k]`` for each of ``keys``.
 
-    Copies those parameters into one contiguous float64 buffer and
-    replaces each ``params[k]`` by its reshaped view into it, in place, so
-    the parameters move with every :func:`adam_step`.  An array taken from
-    ``params`` before this call is a stale copy: read the parameters from
-    ``params`` (or ``state.views``) afterwards.
+    The copies go into one contiguous float64 buffer, in the order of
+    ``keys``; ``params`` itself is not changed.
     """
-    names = tuple(params) if keys is None else tuple(keys)
-    shapes = [np.shape(params[k]) for k in names]
+    shapes = [np.shape(params[k]) for k in keys]
     flat = np.empty(sum(math.prod(shape) for shape in shapes))
     views = {}
     offset = 0
-    for name, shape in zip(names, shapes):
+    for name, shape in zip(keys, shapes):
         size = math.prod(shape)
-        view = flat[offset : offset + size].reshape(shape)
-        view[...] = params[name]
-        params[name] = views[name] = view
+        views[name] = flat[offset : offset + size].reshape(shape)
+        views[name][...] = params[name]
         offset += size
-    return AdamState(
-        flat=flat,
-        views=views,
-        m=np.zeros_like(flat),
-        v=np.zeros_like(flat),
-    )
+    return AdamState(flat=flat, views=views, m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adam_step(state: AdamState, params: Params, gradients: dict[str, np.ndarray], lr_now: float) -> None:
+def adam_step(state: AdamState, gradients: dict[str, np.ndarray], lr_now: float) -> None:
     """One bias-corrected Adam update of the whole buffer, in place.
 
     ``gradients`` must name exactly the state's parameters, each with an
-    array of its shape, and each ``params[k]`` must still be the view
-    :func:`init_adam` put there.  Only those move; that is how frozen
-    stages, whose state covers the trainable parameters alone, keep the
-    rest untouched.  The gradients are concatenated in the state's key
-    order and every element takes the same operations in the same order
-    as a per-array update would, so the bytes do not depend on the layout.
+    array of its shape; that is how frozen stages, whose state covers the
+    trainable parameters alone, keep the rest untouched.  The gradients
+    are concatenated in the state's key order and every element takes the
+    same operations in the same order as a per-array update would, so the
+    bytes do not depend on the layout.
     """
     if not lr_now > 0.0:
         raise InputError(f"learning rate must be positive, got {lr_now!r}")
     if gradients.keys() != state.views.keys():
         raise InputError(f"gradients for {sorted(gradients)} do not match {sorted(state.views)}")
     for name, view in state.views.items():
-        if params[name] is not view:
-            raise InputError(f"parameter {name!r} is not the optimizer's view of it")
         if getattr(gradients[name], "shape", None) != view.shape:
             raise InputError(f"gradient for {name!r} is not an array of its parameter's shape")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    g, work = np.empty_like(state.flat), np.empty_like(state.flat)
-    np.concatenate([gradients[name].reshape(-1) for name in state.views], out=g)
-    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, into new arrays
-    # kept until the next step.  A training step calls this while its tape
-    # graph is alive, so they tend to land above the graph on the heap and
-    # keep glibc from handing the freed graph's memory back to the kernel,
-    # for the next step to fault in again.  Moments updated in place gave a
-    # batch-64 sweep repeat five times the minor faults (140k against 26k).
-    np.multiply(g, 1.0 - b1, out=work)
-    m = state.m = state.m * b1
-    m += work
-    np.multiply(g, g, out=g)
-    g *= 1.0 - b2
-    v = state.v = state.v * b2
-    v += g
-    # params -= lr m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, 1.0 - b1**t, out=work)
-    work *= lr_now
-    np.divide(v, 1.0 - b2**t, out=g)
-    np.sqrt(g, out=g)
-    g += state.eps
-    work /= g
-    state.flat -= work
+    g = np.concatenate([gradients[name].reshape(-1) for name in state.views])
+    # The moments are rebound to new arrays, not updated in place.  A
+    # training step calls this while its tape graph is alive, so they tend
+    # to land above the graph on the heap and keep glibc from handing the
+    # freed graph's memory back to the kernel, for the next step to fault
+    # in again.  Moments updated in place gave a batch-64 sweep repeat five
+    # times the minor faults (140k against 26k).
+    m = state.m = state.m * BETA1 + g * (1.0 - BETA1)
+    v = state.v = state.v * BETA2 + g * g * (1.0 - BETA2)
+    state.flat -= m / (1.0 - BETA1**t) * lr_now / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 def one_cycle_lr(step: int, total_steps: int, optim: OptimConfig) -> float:

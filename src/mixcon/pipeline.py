@@ -121,8 +121,8 @@ def _fit(
     batch_loss,
     objective: str,
 ) -> list[tuple]:
-    """The epoch loop both stages share; updates ``params`` in place, where
-    the trainable entries end up as views of Adam's one flat buffer.
+    """The epoch loop both stages share; writes the trained entries back
+    into ``params`` after the last epoch.
 
     Each epoch walks a fresh permutation of the ``num_samples`` training
     rows, drawn from ``shuffle_seed``, in ``batch_size`` slices.  A step
@@ -134,9 +134,6 @@ def _fit(
     objective, epoch and step appended.  Returns one row per epoch: the
     epoch, the per-step mean of every logged Tensor, and the last lr.
     """
-    # init_adam moves the trainable parameters into one flat buffer and
-    # puts views of it into params; the leaves must wrap those views, or
-    # every step would read arrays that Adam never updates.
     state = init_adam(params, keys=tuple(k for k in params if k.startswith(trainable)))
     batch = optim.batch_size
     steps_per_epoch = num_samples // batch if drop_last else math.ceil(num_samples / batch)
@@ -157,13 +154,14 @@ def _fit(
                     f"{exc} ({objective} objective, epoch {epoch}, step {step})"
                 ) from exc
             lr = one_cycle_lr(step, total_steps, optim)
-            adam_step(state, params, {k: pt[k].grad for k in state.views}, lr)
+            adam_step(state, {k: pt[k].grad for k in state.views}, lr)
             logged.append([float(part.value) for part in parts])
             # Free this step's graph now, not when the next forward rebinds
             # the names, so a step never holds two graphs at once.
             del parts, pt
             step += 1
         rows.append((epoch, *(math.fsum(c) / steps_per_epoch for c in zip(*logged)), lr))
+    params.update(state.views)
     return rows
 
 
@@ -265,7 +263,7 @@ def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> 
     The encoder bytes are compared before and after as a hard guarantee.
     """
     ckpt = _load_matching_checkpoint(cfg, contrastive_checkpoint, "contrastive")
-    params = {name: value.copy() for name, value in ckpt.params.items()}
+    params = ckpt.params
     features, labels, train_idx, hold_idx = dataset_split(cfg)
     y_train = labels[train_idx]
     if not ((y_train == 0) | (y_train == 1)).all():

@@ -55,10 +55,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward_fn
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
@@ -66,30 +62,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(value) -> Tensor:

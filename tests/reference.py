@@ -234,10 +234,10 @@ def composite_asl_t(probabilities, labels, cfg):
     # Masked-out branches are pinned to safe constants so the dead side
     # never produces log(0) that would poison the live side via 0 * inf.
     p_pos = tape.where(pos_mask, probs, tape.constant(np.full(y.shape, 0.5)))
-    pos_term = pow_const(1.0 - p_pos, cfg.gamma_pos) * tape.log(p_pos)
+    pos_term = pow_const(tape.sub(1.0, p_pos), cfg.gamma_pos) * tape.log(p_pos)
     shifted = relu(probs - cfg.margin)
     p_neg = tape.where(~pos_mask, shifted, tape.constant(np.zeros(y.shape)))
-    neg_term = pow_const(p_neg, cfg.gamma_neg) * tape.log(1.0 - p_neg)
+    neg_term = pow_const(p_neg, cfg.gamma_neg) * tape.log(tape.sub(1.0, p_neg))
     gated = tape.where(pos_mask, pos_term, neg_term)
     return -tape.tsum(gated)
 

@@ -106,6 +106,10 @@ def test_malformed_json_rejected():
     payload["optim"]["bogus_knob"] = 1
     with pytest.raises(InputError):
         from_json(json.dumps(payload))
+    payload = to_dict(ExperimentConfig())
+    payload["peak_lr"] = 0.5  # belongs under "optim"
+    with pytest.raises(InputError, match="peak_lr"):
+        from_json(json.dumps(payload))
 
 
 def test_optim_validation():

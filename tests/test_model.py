@@ -275,11 +275,12 @@ def _rewrite_header(src, dst, mutate):
         lambda h: h["tensors"][0].update(shape=3),
         lambda h: h.update(tensors=[1, 2]),
         lambda h: h.update(tensors=None),
+        lambda h: h.update(dtype="<f4"),
     ],
     ids=[
         "no-tensors", "no-kind", "no-seed", "no-config", "no-config-hash",
         "entry-no-name", "entry-no-shape", "entry-bad-dim", "entry-scalar-shape",
-        "entry-not-object", "tensors-null",
+        "entry-not-object", "tensors-null", "dtype-f4",
     ],
 )
 def test_checkpoint_with_malformed_header_raises_input_error(tmp_path, mutate):

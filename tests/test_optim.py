@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mixcon import tape
+from mixcon import pipeline, tape
 from mixcon.config import ContrastiveLossConfig, ModelConfig, OptimConfig
 from mixcon.errors import InputError
 from mixcon.losses import nll_loss_t, pcl_loss_t
@@ -16,91 +16,107 @@ from reference import PerArrayAdam, finite_diff_check
 
 
 def test_adam_zero_gradients_leave_fresh_params_unchanged():
-    params = {"w": np.array([1.0, -2.0])}
-    state = init_adam(params)
-    adam_step(state, params, {"w": np.zeros(2)}, lr_now=0.1)
-    np.testing.assert_array_equal(params["w"], np.array([1.0, -2.0]))
+    state = init_adam({"w": np.array([1.0, -2.0])}, ("w",))
+    adam_step(state, {"w": np.zeros(2)}, lr_now=0.1)
+    np.testing.assert_array_equal(state.views["w"], np.array([1.0, -2.0]))
     assert state.step_count == 1
 
 
 def test_adam_first_step_is_normalized_gradient():
-    params = {"w": np.array([0.5])}
     g = np.array([0.3])
-    state = init_adam(params)
-    adam_step(state, params, {"w": g}, lr_now=0.01)
+    state = init_adam({"w": np.array([0.5])}, ("w",))
+    adam_step(state, {"w": g}, lr_now=0.01)
     # Bias correction cancels the (1 - beta) factors on the first step,
     # so the update is -lr * g / (|g| + eps).
     expected = 0.5 - 0.01 * g / (np.abs(g) + 1e-8)
-    np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
+    np.testing.assert_allclose(state.views["w"], expected, rtol=1e-12)
 
 
 def test_adam_hand_computed_second_step():
-    params = {"w": np.array([1.0])}
-    state = init_adam(params)
+    state = init_adam({"w": np.array([1.0])}, ("w",))
     g1, g2 = np.array([0.2]), np.array([-0.4])
     lr = 0.05
-    adam_step(state, params, {"w": g1}, lr_now=lr)
-    adam_step(state, params, {"w": g2}, lr_now=lr)
+    adam_step(state, {"w": g1}, lr_now=lr)
+    adam_step(state, {"w": g2}, lr_now=lr)
     m = 0.9 * (0.1 * 0.2) + 0.1 * (-0.4)
     v = 0.999 * (0.001 * 0.2**2) + 0.001 * 0.4**2
     m_hat = m / (1 - 0.9**2)
     v_hat = v / (1 - 0.999**2)
     w1 = 1.0 - lr * 0.2 / (0.2 + 1e-8)
     expected = w1 - lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-    np.testing.assert_allclose(params["w"], np.array([expected]), rtol=1e-10)
+    np.testing.assert_allclose(state.views["w"], np.array([expected]), rtol=1e-10)
 
 
 def test_adam_updates_only_supplied_gradients():
     params = {"a": np.ones(2), "b": np.ones(2)}
-    state = init_adam(params, keys=("a",))
-    adam_step(state, params, {"a": np.full(2, 0.5)}, lr_now=0.1)
-    assert not np.array_equal(params["a"], np.ones(2))
-    np.testing.assert_array_equal(params["b"], np.ones(2))
+    state = init_adam(params, ("a",))
+    adam_step(state, {"a": np.full(2, 0.5)}, lr_now=0.1)
+    assert not np.array_equal(state.views["a"], np.ones(2))
+    assert list(state.views) == ["a"]
     with pytest.raises(InputError):
-        adam_step(state, params, {"b": np.zeros(2)}, lr_now=0.1)
+        adam_step(state, {"b": np.zeros(2)}, lr_now=0.1)
 
 
 def test_adam_rejects_a_missing_gradient():
     # A parameter in the state with no gradient would keep moving on its
     # momentum; the step refuses it instead, before anything moves.
-    params = {"a": np.ones(2), "b": np.ones(2)}
-    state = init_adam(params)
-    adam_step(state, params, {"a": np.full(2, 0.5), "b": np.full(2, 0.5)}, lr_now=0.1)
-    before = {k: v.copy() for k, v in params.items()}
+    state = init_adam({"a": np.ones(2), "b": np.ones(2)}, ("a", "b"))
+    adam_step(state, {"a": np.full(2, 0.5), "b": np.full(2, 0.5)}, lr_now=0.1)
+    before = state.flat.copy()
     for gradients in ({"a": np.zeros(2)}, {"a": np.zeros(2), "b": None}):
         with pytest.raises(InputError):
-            adam_step(state, params, gradients, lr_now=0.1)
+            adam_step(state, gradients, lr_now=0.1)
     assert state.step_count == 1
-    assert all(np.array_equal(params[k], before[k]) for k in params)
+    assert state.flat.tobytes() == before.tobytes()
 
 
 def test_adam_validation():
-    params = {"w": np.ones(2)}
-    state = init_adam(params)
+    state = init_adam({"w": np.ones(2)}, ("w",))
     with pytest.raises(InputError):
-        adam_step(state, params, {"w": np.ones(3)}, lr_now=0.1)
+        adam_step(state, {"w": np.ones(3)}, lr_now=0.1)
     with pytest.raises(InputError):
-        adam_step(state, params, {"w": np.ones(2)}, lr_now=0.0)
-    # A parameter replaced after init_adam would silently stop training.
-    params["w"] = params["w"].copy()
-    with pytest.raises(InputError, match="view"):
-        adam_step(state, params, {"w": np.ones(2)}, lr_now=0.1)
+        adam_step(state, {"w": np.ones(2)}, lr_now=0.0)
     assert state.step_count == 0
 
 
 def test_init_adam_moves_the_trained_parameters_into_one_buffer():
     rng = np.random.default_rng(2)
     params = {"a": rng.normal(size=(2, 3)), "frozen": rng.normal(size=4), "b": rng.normal(size=5)}
-    before = {k: v.copy() for k, v in params.items()}
-    frozen = params["frozen"]
-    state = init_adam(params, keys=("b", "a"))
+    state = init_adam(params, ("b", "a"))
     assert tuple(state.views) == ("b", "a")
     assert state.flat.shape == state.m.shape == state.v.shape == (11,)
-    np.testing.assert_array_equal(state.flat, np.concatenate([before["b"], before["a"].ravel()]))
+    np.testing.assert_array_equal(state.flat, np.concatenate([params["b"], params["a"].ravel()]))
     for k in ("a", "b"):
-        assert params[k] is state.views[k] and np.shares_memory(params[k], state.flat)
-        np.testing.assert_array_equal(params[k], before[k])
-    assert params["frozen"] is frozen
+        assert np.shares_memory(state.views[k], state.flat)
+        np.testing.assert_array_equal(state.views[k], params[k])
+
+
+def test_init_adam_leaves_the_callers_dict_and_fit_writes_back():
+    rng = np.random.default_rng(4)
+    params = {"w": rng.normal(size=(2, 3)), "frozen": rng.normal(size=4)}
+    before = {k: (v, v.tobytes()) for k, v in params.items()}
+    state = init_adam(params, ("w",))
+    adam_step(state, {"w": np.ones((2, 3))}, lr_now=0.1)
+    assert params.keys() == before.keys()
+    for k, (array, data) in before.items():
+        assert params[k] is array and array.tobytes() == data
+        assert not np.shares_memory(array, state.flat)
+
+    def batch_loss(pt, idx):
+        return (tape.tsum(pt["w"] * pt["w"]),)
+
+    optim = OptimConfig(batch_size=2, peak_lr=0.1)
+    pipeline._fit(
+        params, optim, trainable=("w",), epochs=1, num_samples=4, drop_last=True,
+        shuffle_seed=0, make_batch=lambda idx, step: idx, batch_loss=batch_loss,
+        objective="toy",
+    )
+    expected = {"w": before["w"][0].copy()}
+    oracle = PerArrayAdam(expected, ("w",))
+    for step in range(2):
+        oracle.step(expected, {"w": 2.0 * expected["w"]}, one_cycle_lr(step, 2, optim))
+    assert params["w"].tobytes() == expected["w"].tobytes() != before["w"][1]
+    assert params["frozen"] is before["frozen"][0]
 
 
 def test_flat_adam_matches_the_per_array_update_bit_for_bit():
@@ -109,9 +125,8 @@ def test_flat_adam_matches_the_per_array_update_bit_for_bit():
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
     oracle_params = {k: v.copy() for k, v in params.items()}
     keys = ("w2", "b1", "one", "w1", "b2")  # a subset, not in dict order
-    state = init_adam(params, keys=keys)
+    state = init_adam(params, keys)
     oracle = PerArrayAdam(oracle_params, keys)
-    frozen = params["frozen"].copy()
     optim = OptimConfig(peak_lr=0.05)
     for step in range(60):
         # Magnitudes from 1e-9 to 1e3, with exact zeros mixed in.
@@ -121,25 +136,23 @@ def test_flat_adam_matches_the_per_array_update_bit_for_bit():
             for k in keys
         }
         lr = one_cycle_lr(step, 60, optim)
-        adam_step(state, params, grads, lr)
+        adam_step(state, grads, lr)
         oracle.step(oracle_params, grads, lr)
         for k in keys:
-            assert params[k].tobytes() == oracle_params[k].tobytes(), (step, k)
+            assert state.views[k].tobytes() == oracle_params[k].tobytes(), (step, k)
         assert state.m.tobytes() == np.concatenate([oracle.m[k].ravel() for k in keys]).tobytes()
         assert state.v.tobytes() == np.concatenate([oracle.v[k].ravel() for k in keys]).tobytes()
     assert state.step_count == oracle.step_count == 60
-    assert params["frozen"].tobytes() == frozen.tobytes()
 
 
 def test_adam_trajectories_are_deterministic():
     def run():
         rng = np.random.default_rng(5)
-        params = {"w": rng.normal(size=4)}
-        state = init_adam(params)
+        state = init_adam({"w": rng.normal(size=4)}, ("w",))
         for i in range(20):
-            g = np.sin(params["w"] + i)
-            adam_step(state, params, {"w": g}, lr_now=0.01)
-        return params["w"]
+            g = np.sin(state.views["w"] + i)
+            adam_step(state, {"w": g}, lr_now=0.01)
+        return state.views["w"]
 
     assert run().tobytes() == run().tobytes()
 
@@ -264,10 +277,10 @@ def test_fifty_adam_steps_cut_identical_batch_loss():
     batch = np.tile(np.random.default_rng(3).normal(size=5), (4, 1))
     labels = np.tile(np.array([1, 0, 1]), (4, 1))
     # The toy loss never reaches the classifier head, so it is frozen.
-    state = init_adam(params, keys=tuple(k for k in params if not k.startswith("cls.")))
+    state = init_adam(params, tuple(k for k in params if not k.startswith("cls.")))
 
     def loss_value():
-        pt = {k: tape.leaf(v) for k, v in params.items()}
+        pt = {k: tape.leaf(v) for k, v in {**params, **state.views}.items()}
         return _toy_total_loss(pt, cfg, batch, labels), pt
 
     initial, _ = loss_value()
@@ -275,6 +288,6 @@ def test_fifty_adam_steps_cut_identical_batch_loss():
         loss, pt = loss_value()
         tape.backward(loss)
         grads = {k: pt[k].grad for k in state.views}
-        adam_step(state, params, grads, lr_now=0.01)
+        adam_step(state, grads, lr_now=0.01)
     final, _ = loss_value()
     assert float(final.value) <= 0.9 * float(initial.value)

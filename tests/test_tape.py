@@ -81,7 +81,7 @@ def test_broadcast_gradients_sum_over_expanded_axes():
 
 def test_matmul_matches_finite_differences():
     def fn(ts):
-        return tape.tsum(tape.tanh(ts[0] @ ts[1]))
+        return tape.tsum(tape.tanh(tape.matmul(ts[0], ts[1])))
 
     assert_matches_fd(fn, [RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2))])
     with pytest.raises(InputError):
@@ -265,7 +265,7 @@ def test_gradients_are_deterministic():
         rng = np.random.default_rng(123)
         x = tape.leaf(rng.normal(size=(5, 3)))
         w = tape.leaf(rng.normal(size=(3, 2)))
-        t = tape.tanh(x @ w)
+        t = tape.tanh(tape.matmul(x, w))
         loss = tape.tsum(t * t)
         return grads_of(loss, [x, w])
 
