@@ -16,7 +16,7 @@ implementation exactly" is a well-defined, order-independent statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +50,11 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Seven headline numbers plus the per-class table they came from."""
+    """Seven headline numbers plus the per-class table they came from.
+
+    The headline fields come first, in report order; ``or_`` reports
+    under the key ``or``.
+    """
 
     map: float
     cp: float
@@ -63,16 +67,21 @@ class MetricsReport:
     threshold: float
 
     def __post_init__(self):
-        for name in ("cp", "cr", "cf1", "op", "or_", "of1"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+        for name, value in self.headline().items():
+            if not (0.0 <= value <= 1.0 or (name == "map" and math.isnan(value))):
                 raise InputError(f"{name} outside [0, 1]")
-        if not (math.isnan(self.map) or 0.0 <= self.map <= 1.0):
-            raise InputError("map outside [0, 1]")
         if abs(self.cf1 - _f1(self.cp, self.cr)) > 1e-12:
             raise InputError("cf1 inconsistent with cp and cr")
         if abs(self.of1 - _f1(self.op, self.or_)) > 1e-12:
             raise InputError("of1 inconsistent with op and or_")
+
+    def headline(self) -> dict[str, float]:
+        """The seven headline numbers under their report keys, in report order."""
+        return {key: getattr(self, f.name) for key, f in zip(HEADLINE, fields(self))}
+
+
+# Report keys of the seven fields MetricsReport declares first.
+HEADLINE = tuple(f.name.rstrip("_") for f in fields(MetricsReport)[:7])
 
 
 def _f1(p: float, r: float) -> float:
@@ -101,44 +110,39 @@ def average_precision(scores, truths) -> float:
     return math.fsum(precisions) / precisions.size
 
 
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 1.0
+
+
 def pr_f1_report(preds: PredictionSet, threshold: float = 0.5) -> MetricsReport:
     """Class-averaged and pooled precision/recall/F1 at a strict threshold."""
     if not 0.0 < threshold < 1.0:
         raise InputError("threshold must lie in (0, 1)")
     scores, truths = preds.scores, preds.truths
     num_classes = scores.shape[1]
-    predicted = (scores > threshold).astype(np.int64)
+    predicted = scores > threshold
+    positive = truths == 1
+    tp, fp, fn = (
+        np.count_nonzero(hits, axis=0).tolist()
+        for hits in (predicted & positive, predicted & ~positive, ~predicted & positive)
+    )
     per_class = []
-    per_precision = []
-    per_recall = []
-    aps = []
-    tp_total = fp_total = fn_total = 0
     for k in range(num_classes):
-        tp = int(np.sum(predicted[:, k] & truths[:, k]))
-        fp = int(np.sum(predicted[:, k] & (1 - truths[:, k])))
-        fn = int(np.sum((1 - predicted[:, k]) & truths[:, k]))
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 1.0
-        ap = average_precision(scores[:, k], truths[:, k])
-        if not math.isnan(ap):
-            aps.append(ap)
-        per_precision.append(precision)
-        per_recall.append(recall)
+        precision = _ratio(tp[k], tp[k] + fp[k])
+        recall = _ratio(tp[k], tp[k] + fn[k])
         per_class.append(
             {
-                "ap": ap,
+                "ap": average_precision(scores[:, k], truths[:, k]),
                 "precision": precision,
                 "recall": recall,
                 "f1": _f1(precision, recall),
             }
         )
-    cp = math.fsum(per_precision) / num_classes
-    cr = math.fsum(per_recall) / num_classes
-    op = tp_total / (tp_total + fp_total) if tp_total + fp_total else 1.0
-    or_ = tp_total / (tp_total + fn_total) if tp_total + fn_total else 1.0
+    aps = [row["ap"] for row in per_class if not math.isnan(row["ap"])]
+    cp = math.fsum(row["precision"] for row in per_class) / num_classes
+    cr = math.fsum(row["recall"] for row in per_class) / num_classes
+    op = _ratio(sum(tp), sum(tp) + sum(fp))
+    or_ = _ratio(sum(tp), sum(tp) + sum(fn))
     return MetricsReport(
         map=math.fsum(aps) / len(aps) if aps else float("nan"),
         cp=cp,
@@ -155,9 +159,9 @@ def pr_f1_report(preds: PredictionSet, threshold: float = 0.5) -> MetricsReport:
 def report_to_json(report: MetricsReport, **extra) -> str:
     """Canonical JSON for machine diffing; NaN sentinels become null.
 
-    The seven headline numbers live under a "metrics" object with exactly
-    the keys map/cp/cr/cf1/op/or/of1; provenance fields passed via
-    ``extra`` (config hash, seed, split) sit alongside it.
+    The seven headline numbers live under a "metrics" object, keyed as
+    ``MetricsReport.headline()``; provenance fields passed via ``extra``
+    (config hash, seed, split) sit alongside it.
     """
 
     def clean(value):
@@ -166,15 +170,7 @@ def report_to_json(report: MetricsReport, **extra) -> str:
         return value
 
     payload = {
-        "metrics": {
-            "map": clean(report.map),
-            "cp": report.cp,
-            "cr": report.cr,
-            "cf1": report.cf1,
-            "op": report.op,
-            "or": report.or_,
-            "of1": report.of1,
-        },
+        "metrics": {key: clean(value) for key, value in report.headline().items()},
         "threshold": report.threshold,
         "per_class": [
             {name: clean(value) for name, value in row.items()}

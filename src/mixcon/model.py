@@ -33,8 +33,9 @@ NORM_GUARD = 1e-12
 Params = dict[str, np.ndarray]
 
 
-def _layer_sizes(cfg: ModelConfig) -> list[tuple[str, int, int]]:
-    """(name, fan_in, fan_out) for every linear layer, in parameter order."""
+def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in parameter order: each linear
+    layer's weight (fan_in, fan_out), then its bias (fan_out,)."""
     layers = []
     prev = cfg.input_dim
     for i, width in enumerate(cfg.encoder_hidden):
@@ -49,7 +50,11 @@ def _layer_sizes(cfg: ModelConfig) -> list[tuple[str, int, int]]:
         layers.append((f"mdn.{head}", prev, cfg.num_classes))
     layers.append(("mdn.z", prev, cfg.mixture_dim))
     layers.append(("cls", cfg.embed_dim, cfg.num_classes))
-    return layers
+    return [
+        (f"{name}.{part}", shape)
+        for name, fan_in, fan_out in layers
+        for part, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))
+    ]
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Params:
@@ -61,14 +66,14 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
     """
     rng = np.random.default_rng(seed)
     params: Params = {}
-    for name, fan_in, fan_out in _layer_sizes(cfg):
-        if name == "mdn.var":
-            params[f"{name}.w"] = np.ones((fan_in, fan_out))
-            params[f"{name}.b"] = np.ones(fan_out)
+    for name, shape in param_layout(cfg):
+        if name.startswith("mdn.var."):
+            params[name] = np.ones(shape)
             continue
-        bound = 1.0 / np.sqrt(fan_in)
-        params[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params[f"{name}.b"] = rng.uniform(-bound, bound, size=fan_out)
+        if name.endswith(".w"):
+            # The bias that follows shares its weight's fan_in.
+            bound = 1.0 / np.sqrt(shape[0])
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

@@ -37,9 +37,8 @@ from .config import (
 from .data import generate_synthetic, make_contrastive_batch, splitmix64
 from .errors import InputError, NumericError
 from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
-from .metrics import MetricsReport, PredictionSet, pr_f1_report, report_to_json
+from .metrics import HEADLINE, MetricsReport, PredictionSet, pr_f1_report, report_to_json
 from .model import (
-    _layer_sizes,
     classifier_forward,
     encoder_bytes,
     encoder_forward,
@@ -47,6 +46,7 @@ from .model import (
     init_params,
     load_checkpoint,
     mdn_forward_t,
+    param_layout,
     params_to_tensors,
     save_checkpoint,
 )
@@ -106,6 +106,15 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows) -> None:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _save_checkpoint(cfg: ExperimentConfig, out: Path, params, kind: str) -> Path:
+    """Write ``out/{kind}.ckpt`` stamped with the config's seed, tree and hash."""
+    path = out / f"{kind}.ckpt"
+    save_checkpoint(
+        path, params, kind=kind, seed=cfg.seed, config=to_dict(cfg), config_hash=config_hash(cfg)
+    )
+    return path
 
 
 def _fit(
@@ -209,17 +218,8 @@ def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
     )
     curve = out / "contrastive_loss.csv"
     _write_csv(curve, cfg, "epoch,nll,pcl,total,lr", rows)
-    ckpt = out / "contrastive.ckpt"
-    save_checkpoint(
-        ckpt,
-        params,
-        kind="contrastive",
-        seed=cfg.seed,
-        config=to_dict(cfg),
-        config_hash=config_hash(cfg),
-    )
     return ContrastiveResult(
-        checkpoint=ckpt,
+        checkpoint=_save_checkpoint(cfg, out, params, "contrastive"),
         curve=curve,
         first_epoch_total=rows[0][3],
         last_epoch_total=rows[-1][3],
@@ -230,21 +230,23 @@ def _load_matching_checkpoint(cfg: ExperimentConfig, path, expected_kind: str):
     ckpt = load_checkpoint(path)
     if ckpt.kind != expected_kind:
         raise InputError(f"{path}: expected a {expected_kind} checkpoint, got {ckpt.kind}")
+    fields = differing_fields(ckpt.config, cfg)
     if ckpt.config_hash != config_hash(cfg):
-        fields = ", ".join(differing_fields(ckpt.config, cfg))
         raise InputError(
             f"{path}: checkpoint config hash does not match this config"
-            + (f"; fields that differ: {fields}" if fields else "")
+            + (f"; fields that differ: {', '.join(fields)}" if fields else "")
         )
-    # The tensors must be the model's, in parameter order: (name, shape)
-    # for each layer's weight, then its bias.
-    layout = [
-        (f"{name}.{part}", shape)
-        for name, fan_in, fan_out in _layer_sizes(cfg.model)
-        for part, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))
-    ]
+    # The hash alone does not vouch for the rest of the header, which an
+    # edit can change without it.
+    if type(ckpt.seed) is not int or ckpt.seed != cfg.seed:
+        fields.append("header seed")
+    if fields:
+        raise InputError(
+            f"{path}: checkpoint header disagrees with its config hash; "
+            f"fields that differ: {', '.join(fields)}"
+        )
     found = [(name, value.shape) for name, value in ckpt.params.items()]
-    for want, got in itertools.zip_longest(layout, found):
+    for want, got in itertools.zip_longest(param_layout(cfg.model), found):
         if want != got:
             want, got = (f"{t[0]!r} of shape {t[1]}" if t else "no tensor" for t in (want, got))
             raise InputError(
@@ -296,15 +298,7 @@ def train_classifier(cfg: ExperimentConfig, contrastive_checkpoint, out_dir) -> 
     report = _split_report(cfg, params, features, labels, hold_idx)
     report_path = out / "holdout_metrics.json"
     _write_report(report_path, cfg, report, split="holdout")
-    ckpt_path = out / "classifier.ckpt"
-    save_checkpoint(
-        ckpt_path,
-        params,
-        kind="classifier",
-        seed=cfg.seed,
-        config=to_dict(cfg),
-        config_hash=config_hash(cfg),
-    )
+    ckpt_path = _save_checkpoint(cfg, out, params, "classifier")
     return ClassifierResult(
         checkpoint=ckpt_path, curve=curve, report_path=report_path, report=report
     )
@@ -362,6 +356,11 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     values = list(values)
     if len(values) < 2:
         raise InputError("need at least two values to sweep")
+    # Each value runs into its own <param>=<value> directory.
+    names = [str(v) for v in values]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise InputError(f"sweep value {repeated[0]!r} for {param} is repeated")
     run_cfgs = [_sweep_config(cfg, param, v) for v in values]
     # Every swept field lives in cfg.loss, so one split serves all values.
     _, labels, train_idx, _ = dataset_split(cfg)
@@ -377,30 +376,13 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
             positives = positive_pair_count(
                 labels[train_idx], run_cfg.loss.measure, run_cfg.loss.alpha
             )
-            r = stage_two.report
-            rows.append(
-                (
-                    param,
-                    value,
-                    r.map,
-                    r.cp,
-                    r.cr,
-                    r.cf1,
-                    r.op,
-                    r.or_,
-                    r.of1,
-                    positives / len(train_idx),
-                    "ok",
-                )
-            )
+            metrics = (*stage_two.report.headline().values(), positives / len(train_idx))
+            rows.append((param, value, *metrics, "ok"))
         except (InputError, NumericError, OSError) as exc:
             failed = True
-            rows.append((param, value, "", "", "", "", "", "", "", "", f"failed:{type(exc).__name__}"))
+            blanks = [""] * (len(HEADLINE) + 1)
+            rows.append((param, value, *blanks, f"failed:{type(exc).__name__}"))
     table = out / "sweep.csv"
-    _write_csv(
-        table,
-        cfg,
-        "param,value,map,cp,cr,cf1,op,or,of1,mean_positive_set_size,status",
-        rows,
-    )
+    header = ("param", "value", *HEADLINE, "mean_positive_set_size", "status")
+    _write_csv(table, cfg, ",".join(header), rows)
     return SweepResult(table=table, rows=tuple(rows), failed=failed)

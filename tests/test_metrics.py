@@ -116,15 +116,7 @@ class TestReport:
             preds = random_instance(rng)
             report = pr_f1_report(preds, threshold=0.5)
             expected = naive_report(preds.scores, preds.truths, 0.5)
-            got = {
-                "map": report.map,
-                "cp": report.cp,
-                "cr": report.cr,
-                "cf1": report.cf1,
-                "op": report.op,
-                "or": report.or_,
-                "of1": report.of1,
-            }
+            got = report.headline()
             for key, value in expected.items():
                 if isinstance(value, float) and math.isnan(value):
                     assert math.isnan(got[key])

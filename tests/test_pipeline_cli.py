@@ -312,6 +312,11 @@ class TestAblate:
         rows = read_csv_rows(result.table)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed:")
+        header, ok, failed = (
+            l for l in result.table.read_text().splitlines() if not l.startswith("#")
+        )
+        assert header == "param,value,map,cp,cr,cf1,op,or,of1,mean_positive_set_size,status"
+        assert len(ok.split(",")) == len(failed.split(",")) == len(header.split(","))
 
     def test_sweep_validation(self, tmp_path):
         cfg = tiny_config()
@@ -430,6 +435,64 @@ class TestCli:
         ]) == 2
         assert "abc" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_sweep_value_is_a_config_error(self, tmp_path, capsys):
+        # Both runs would write into the one directory lambda=0.3/.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "sweep"
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0.3,0,0.3", "--out", str(out),
+        ]) == 2
+        assert "sweep value '0.3' for lambda is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edits, named",
+        [
+            ({"config.loss.lam": 7.0}, "loss.lam"),
+            ({"config.seed": 42}, "seed"),
+            ({"seed": 99}, "header seed"),
+            ({"config.loss.lam": 7.0, "config.seed": 42, "seed": 99}, "loss.lam, seed, header seed"),
+        ],
+        ids=["lam", "config-seed", "header-seed", "all-three"],
+    )
+    def test_checkpoint_header_that_disagrees_with_its_hash_is_a_config_error(
+        self, tmp_path, capsys, edits, named
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        run = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert main([
+            "train-classifier", "--config", str(cfg_path),
+            "--checkpoint", str(run / "contrastive.ckpt"), "--out", str(run),
+        ]) == 0
+        capsys.readouterr()
+        for stage, kind in (("train-classifier", "contrastive"), ("evaluate", "classifier")):
+            # Edit the header and keep its config_hash as it was.
+            magic, header, data = (run / f"{kind}.ckpt").read_bytes().split(b"\n", 2)
+            payload = json.loads(header)
+            for dotted, value in edits.items():
+                *parents, key = dotted.split(".")
+                node = payload
+                for name in parents:
+                    node = node[name]
+                node[key] = value
+            bad = tmp_path / f"bad_{kind}.ckpt"
+            bad.write_bytes(magic + b"\n" + json.dumps(payload).encode() + b"\n" + data)
+            out = tmp_path / f"out_{kind}"
+            target = out if stage == "train-classifier" else out / "eval.json"
+            assert main([
+                stage, "--config", str(cfg_path),
+                "--checkpoint", str(bad), "--out", str(target),
+            ]) == 2
+            assert (
+                f"checkpoint header disagrees with its config hash; fields that differ: {named}\n"
+                in capsys.readouterr().err
+            )
+            assert not out.exists()
 
     def test_malformed_checkpoint_header_is_a_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
