@@ -19,86 +19,84 @@ from .errors import InputError
 from .overlap import MEASURES
 
 
-def _check_ints(what: str, *values) -> None:
-    """Raise InputError unless every value is an int; a bool or a float
-    with an integral value is not one."""
-    for value in values:
-        if type(value) is not int:
-            raise InputError(f"{what} must be of type int, not {value!r}")
+def _bounded(default, interval: str):
+    """A field with its default and the interval its value must lie in,
+    written as the error message quotes it, e.g. ``"(0, 1]"``; ``inf`` as
+    an end leaves that side unbounded.  A tuple field's interval bounds
+    each of its elements."""
+    return dataclasses.field(default=default, metadata={"interval": interval})
 
 
-def _check_floats(what: str, *values) -> None:
-    """Raise InputError unless every value is a finite real number; a bool,
-    which JSON ``true`` and ``false`` load as, is not one, and neither is
-    the NaN or infinity that JSON ``NaN`` and ``Infinity`` load as."""
-    for value in values:
+def _check_number(where: str, kind: str, value, interval: str | None) -> None:
+    """Raise InputError unless ``value`` is of ``kind`` and in ``interval``.
+
+    An int is an int, not a bool or a float with an integral value.  A
+    float is a finite real number: neither a bool, which JSON ``true`` and
+    ``false`` load as, nor the NaN or infinity that JSON ``NaN`` and
+    ``Infinity`` load as."""
+    if kind == "int" and type(value) is not int:
+        raise InputError(f"{where} must be of type int, not {value!r}")
+    if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"{what} must be a number, not {value!r}")
+            raise InputError(f"{where} must be a number, not {value!r}")
         if not math.isfinite(value):
-            raise InputError(f"{what} must be finite, not {value!r}")
+            raise InputError(f"{where} must be finite, not {value!r}")
+    if interval is None:
+        return
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (above and below):
+        raise InputError(f"{where} must lie in {interval}, got {value!r}")
+
+
+class _Checked:
+    """Base of the config classes: on construction, every ``int``,
+    ``float`` and ``tuple[int, ...]`` field is checked against its
+    annotation and its declared interval, and a tuple field is stored as a
+    tuple."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            where = f"{type(self).__name__}.{f.name}"
+            value = getattr(self, f.name)
+            interval = f.metadata.get("interval")
+            # This module's annotations are strings (``from __future__``).
+            if f.type == "tuple[int, ...]":
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+                for i, item in enumerate(value):
+                    _check_number(f"{where}[{i}]", "int", item, interval)
+            elif f.type in ("int", "float"):
+                _check_number(where, f.type, value, interval)
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Checked):
     """Recipe for the synthetic dataset: every class has marginal
     ``marginal``, and ``boost`` couples each class pair (2k, 2k+1)."""
 
-    num_samples: int = 2000
-    num_classes: int = 6
-    input_dim: int = 24
-    marginal: float = 0.35
-    boost: float = 0.5
-    noise_scale: float = 0.25
-    holdout_frac: float = 0.25
-
-    def __post_init__(self):
-        _check_ints("data sizes", self.num_samples, self.num_classes, self.input_dim)
-        _check_floats(
-            "data fractions and scales",
-            self.marginal,
-            self.boost,
-            self.noise_scale,
-            self.holdout_frac,
-        )
-        if self.num_samples < 8:
-            raise InputError("num_samples must be >= 8")
-        if not 0.0 < self.holdout_frac < 1.0:
-            raise InputError("holdout_frac must lie in (0, 1)")
-        if self.noise_scale < 0.0:
-            raise InputError("noise_scale must be >= 0")
-        if not 0.0 < self.marginal < 1.0:
-            raise InputError("marginal must lie in (0, 1)")
-        if not 0.0 <= self.boost <= 1.0:
-            raise InputError("boost must lie in [0, 1]")
+    num_samples: int = _bounded(2000, "[8, inf)")
+    num_classes: int = _bounded(6, "[1, inf)")
+    input_dim: int = _bounded(24, "[1, inf)")
+    marginal: float = _bounded(0.35, "(0, 1)")
+    boost: float = _bounded(0.5, "[0, 1]")
+    noise_scale: float = _bounded(0.25, "[0, inf)")
+    holdout_frac: float = _bounded(0.25, "(0, 1)")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    input_dim: int
-    encoder_hidden: tuple[int, ...] = (128,)
-    embed_dim: int = 32
-    mixture_dim: int = 4
-    num_classes: int = 6
-    mdn_hidden: tuple[int, ...] = (128, 64)
-
-    def __post_init__(self):
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        object.__setattr__(self, "mdn_hidden", tuple(self.mdn_hidden))
-        dims = (
-            self.input_dim,
-            self.embed_dim,
-            self.mixture_dim,
-            self.num_classes,
-            *self.encoder_hidden,
-            *self.mdn_hidden,
-        )
-        _check_ints("model dimensions", *dims)
-        if any(d < 1 for d in dims):
-            raise InputError("all model dimensions must be >= 1")
+class ModelConfig(_Checked):
+    input_dim: int = _bounded(dataclasses.MISSING, "[1, inf)")
+    encoder_hidden: tuple[int, ...] = _bounded((128,), "[1, inf)")
+    embed_dim: int = _bounded(32, "[1, inf)")
+    mixture_dim: int = _bounded(4, "[1, inf)")
+    num_classes: int = _bounded(6, "[1, inf)")
+    mdn_hidden: tuple[int, ...] = _bounded((128, 64), "[1, inf)")
 
 
 @dataclass(frozen=True)
-class ContrastiveLossConfig:
+class ContrastiveLossConfig(_Checked):
     """Contrastive-stage hyperparameters.
 
     tau: softmax temperature; alpha: overlap threshold for positive sets;
@@ -106,97 +104,48 @@ class ContrastiveLossConfig:
     overlap backend.
     """
 
-    tau: float = 0.2
-    alpha: float = 0.6
-    lam: float = 0.3
+    tau: float = _bounded(0.2, "(0, inf)")
+    alpha: float = _bounded(0.6, "[0, 1]")
+    lam: float = _bounded(0.3, "[0, inf)")
     measure: str = "jaccard"
 
     def __post_init__(self):
-        _check_floats("tau, alpha and lambda", self.tau, self.alpha, self.lam)
-        if not self.tau > 0.0:
-            raise InputError(f"tau must be positive, got {self.tau!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if self.lam < 0.0:
-            raise InputError(f"lambda must be >= 0, got {self.lam!r}")
+        super().__post_init__()
         if self.measure not in MEASURES:
             raise InputError(f"unknown overlap measure {self.measure!r}")
 
 
 @dataclass(frozen=True)
-class AslConfig:
+class AslConfig(_Checked):
     """Asymmetric-loss hyperparameters (published defaults)."""
 
-    gamma_pos: float = 0.0
-    gamma_neg: float = 4.0
-    margin: float = 0.05
-
-    def __post_init__(self):
-        _check_floats("ASL exponents and margin", self.gamma_pos, self.gamma_neg, self.margin)
-        if self.gamma_pos < 0.0 or self.gamma_neg < 0.0:
-            raise InputError("focusing exponents must be >= 0")
-        if not 0.0 <= self.margin < 1.0:
-            raise InputError(f"margin must lie in [0, 1), got {self.margin!r}")
+    gamma_pos: float = _bounded(0.0, "[0, inf)")
+    gamma_neg: float = _bounded(4.0, "[0, inf)")
+    margin: float = _bounded(0.05, "[0, 1)")
 
 
 @dataclass(frozen=True)
-class OptimConfig:
-    peak_lr: float = 3e-3
-    batch_size: int = 64
-    contrastive_epochs: int = 20
-    classifier_epochs: int = 10
-    warmup_frac: float = 0.3
-    final_factor: float = 1e-4
-    start_factor: float = 0.04
-
-    def __post_init__(self):
-        _check_ints(
-            "batch size and epoch counts",
-            self.batch_size,
-            self.contrastive_epochs,
-            self.classifier_epochs,
-        )
-        _check_floats(
-            "learning rate and schedule fractions",
-            self.peak_lr,
-            self.warmup_frac,
-            self.final_factor,
-            self.start_factor,
-        )
-        if self.peak_lr <= 0.0:
-            raise InputError("peak_lr must be > 0")
-        if self.batch_size < 2:
-            raise InputError("batch_size must be >= 2")
-        if self.contrastive_epochs < 1 or self.classifier_epochs < 1:
-            raise InputError("epoch counts must be >= 1")
-        if not 0.0 < self.warmup_frac < 1.0:
-            raise InputError("warmup_frac must lie in (0, 1)")
-        if not 0.0 < self.final_factor <= 1.0 or not 0.0 < self.start_factor <= 1.0:
-            raise InputError("start/final LR factors must lie in (0, 1]")
+class OptimConfig(_Checked):
+    peak_lr: float = _bounded(3e-3, "(0, inf)")
+    batch_size: int = _bounded(64, "[2, inf)")
+    contrastive_epochs: int = _bounded(20, "[1, inf)")
+    classifier_epochs: int = _bounded(10, "[1, inf)")
+    warmup_frac: float = _bounded(0.3, "(0, 1)")
+    final_factor: float = _bounded(1e-4, "(0, 1]")
+    start_factor: float = _bounded(0.04, "(0, 1]")
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(_Checked):
     """Label-preserving vector perturbations; zero magnitudes = identity."""
 
-    jitter_scale: float = 0.1
-    dropout_prob: float = 0.1
-    scale_jitter: float = 0.1
-
-    def __post_init__(self):
-        _check_floats(
-            "augmentation magnitudes", self.jitter_scale, self.dropout_prob, self.scale_jitter
-        )
-        if self.jitter_scale < 0.0:
-            raise InputError("jitter_scale must be >= 0")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise InputError("dropout_prob must lie in [0, 1)")
-        if not 0.0 <= self.scale_jitter < 1.0:
-            raise InputError("scale_jitter must lie in [0, 1)")
+    jitter_scale: float = _bounded(0.1, "[0, inf)")
+    dropout_prob: float = _bounded(0.1, "[0, 1)")
+    scale_jitter: float = _bounded(0.1, "[0, 1)")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Checked):
     data: DataConfig = DataConfig()
     model: ModelConfig = ModelConfig(input_dim=24)
     loss: ContrastiveLossConfig = ContrastiveLossConfig()
@@ -204,17 +153,14 @@ class ExperimentConfig:
     optim: OptimConfig = OptimConfig()
     augment: AugmentConfig = AugmentConfig()
     seed: int = 0
-    threshold: float = 0.5
+    threshold: float = _bounded(0.5, "(0, 1)")
 
     def __post_init__(self):
-        _check_ints("seed", self.seed)
-        _check_floats("threshold", self.threshold)
+        super().__post_init__()
         if self.model.input_dim != self.data.input_dim:
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:
             raise InputError("model.num_classes must equal data.num_classes")
-        if not 0.0 < self.threshold < 1.0:
-            raise InputError("threshold must lie in (0, 1)")
         holdout = int(round(self.data.num_samples * self.data.holdout_frac))
         if holdout < 1 or self.data.num_samples - holdout < self.optim.batch_size:
             raise InputError("split leaves too few samples for one training batch")
@@ -262,20 +208,16 @@ def differing_fields(stored, cfg: ExperimentConfig) -> list[str]:
 
 
 def from_dict(payload: dict) -> ExperimentConfig:
-    stray = payload.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields = dataclasses.fields(ExperimentConfig)
+    stray = payload.keys() - {f.name for f in fields}
     if stray:
         raise InputError(f"malformed experiment config: unknown keys {sorted(stray)}")
     try:
-        return ExperimentConfig(
-            data=DataConfig(**payload["data"]),
-            model=ModelConfig(**payload["model"]),
-            loss=ContrastiveLossConfig(**payload["loss"]),
-            asl=AslConfig(**payload["asl"]),
-            optim=OptimConfig(**payload["optim"]),
-            augment=AugmentConfig(**payload["augment"]),
-            seed=payload["seed"],
-            threshold=payload["threshold"],
-        )
+        return ExperimentConfig(**{
+            f.name: type(f.default)(**payload[f.name])
+            if dataclasses.is_dataclass(f.default) else payload[f.name]
+            for f in fields
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed experiment config: {exc}") from exc
 

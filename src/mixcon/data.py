@@ -70,7 +70,8 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
     (which conditions the label law on >= 1 active class), and any class
     absent from the whole sample has one row force-set (a rare O(C/N)
     bias that keeps every class learnable).  The prototypes are drawn as
-    one (C, d) block, so they do not depend on ``num_samples``.
+    one (C, d) block, so they do not depend on ``num_samples``.  A
+    ``noise_scale`` so large that a feature overflows raises NumericError.
     """
     rng_labels = np.random.default_rng(splitmix64(seed, STREAM_LABELS))
     law = (cfg.num_classes, cfg.marginal, cfg.boost)
@@ -91,9 +92,12 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
     rng_noise = np.random.default_rng(splitmix64(seed, STREAM_NOISE))
     features = labels.astype(np.float64) @ prototypes
-    features += cfg.noise_scale * rng_noise.standard_normal(
-        (cfg.num_samples, cfg.input_dim)
-    )
+    with np.errstate(over="ignore"):
+        features += cfg.noise_scale * rng_noise.standard_normal(
+            (cfg.num_samples, cfg.input_dim)
+        )
+    if not np.all(np.isfinite(features)):
+        raise NumericError(f"non-finite feature vector: noise_scale {cfg.noise_scale!r} overflows")
     return features, labels
 
 

@@ -356,12 +356,12 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     values = list(values)
     if len(values) < 2:
         raise InputError("need at least two values to sweep")
-    # Each value runs into its own <param>=<value> directory.
-    names = [str(v) for v in values]
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise InputError(f"sweep value {repeated[0]!r} for {param} is repeated")
     run_cfgs = [_sweep_config(cfg, param, v) for v in values]
+    # Two spellings of one value, such as 0.3 and 0.30, would train the
+    # same config twice.
+    repeated = [v for i, v in enumerate(values) if run_cfgs[i] in run_cfgs[:i]]
+    if repeated:
+        raise InputError(f"sweep value {str(repeated[0])!r} for {param} is repeated")
     # Every swept field lives in cfg.loss, so one split serves all values.
     _, labels, train_idx, _ = dataset_split(cfg)
     out = Path(out_dir)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,81 @@ def test_optim_validation():
         OptimConfig(warmup_frac=1.0)
     with pytest.raises(InputError):
         DataConfig(holdout_frac=0.0)
+
+
+def test_data_sizes_are_checked_without_the_model():
+    with pytest.raises(InputError, match=r"DataConfig.num_classes must lie in \[1, inf\)"):
+        DataConfig(num_classes=0)
+    with pytest.raises(InputError, match=r"DataConfig.input_dim must lie in \[1, inf\)"):
+        DataConfig(input_dim=0)
+
+
+# Every finite end of every numeric interval in the tree, written out here
+# independently of the declarations in config.py: (section, field, end,
+# side, closed), where side +1 means the interval lies above the end.
+INTERVAL_ENDS = [
+    ("data", "num_samples", 8, +1, True),
+    ("data", "marginal", 0.0, +1, False),
+    ("data", "marginal", 1.0, -1, False),
+    ("data", "boost", 0.0, +1, True),
+    ("data", "boost", 1.0, -1, True),
+    ("data", "noise_scale", 0.0, +1, True),
+    ("data", "holdout_frac", 0.0, +1, False),
+    ("data", "holdout_frac", 1.0, -1, False),
+    ("model", "input_dim", 1, +1, True),
+    ("model", "embed_dim", 1, +1, True),
+    ("model", "mixture_dim", 1, +1, True),
+    ("model", "num_classes", 1, +1, True),
+    ("loss", "tau", 0.0, +1, False),
+    ("loss", "alpha", 0.0, +1, True),
+    ("loss", "alpha", 1.0, -1, True),
+    ("loss", "lam", 0.0, +1, True),
+    ("asl", "gamma_pos", 0.0, +1, True),
+    ("asl", "gamma_neg", 0.0, +1, True),
+    ("asl", "margin", 0.0, +1, True),
+    ("asl", "margin", 1.0, -1, False),
+    ("optim", "peak_lr", 0.0, +1, False),
+    ("optim", "batch_size", 2, +1, True),
+    ("optim", "contrastive_epochs", 1, +1, True),
+    ("optim", "classifier_epochs", 1, +1, True),
+    ("optim", "warmup_frac", 0.0, +1, False),
+    ("optim", "warmup_frac", 1.0, -1, False),
+    ("optim", "final_factor", 0.0, +1, False),
+    ("optim", "final_factor", 1.0, -1, True),
+    ("optim", "start_factor", 0.0, +1, False),
+    ("optim", "start_factor", 1.0, -1, True),
+    ("augment", "jitter_scale", 0.0, +1, True),
+    ("augment", "dropout_prob", 0.0, +1, True),
+    ("augment", "dropout_prob", 1.0, -1, False),
+    ("augment", "scale_jitter", 0.0, +1, True),
+    ("augment", "scale_jitter", 1.0, -1, False),
+    (None, "threshold", 0.0, +1, False),
+    (None, "threshold", 1.0, -1, False),
+]
+
+
+def interval_end_cases():
+    """The end itself, the nearest value inside and the nearest outside."""
+    for section, key, end, side, closed in INTERVAL_ENDS:
+        if isinstance(end, int):
+            inside, outside = end + side, end - side
+        else:
+            inside, outside = math.nextafter(end, end + side), math.nextafter(end, end - side)
+        for value, accepted in ((end, closed), (inside, True), (outside, False)):
+            yield pytest.param(
+                section, key, value, accepted, id=f"{section or 'top'}.{key}={value!r}"
+            )
+
+
+@pytest.mark.parametrize("section, key, value, accepted", interval_end_cases())
+def test_each_interval_end_is_open_or_closed_as_declared(section, key, value, accepted):
+    base = ExperimentConfig()
+    target = base if section is None else getattr(base, section)
+    if accepted:
+        assert getattr(dataclasses.replace(target, **{key: value}), key) == value
+    else:
+        with pytest.raises(InputError):
+            dataclasses.replace(target, **{key: value})
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,24 @@ def test_every_config_field_is_read_by_the_program():
     assert unread == set()
 
 
+def test_every_numeric_config_field_declares_an_interval():
+    # The checks read each field's interval from its declaration; a numeric
+    # field without one would take any value of its type.  The seed may be
+    # any int.
+    from mixcon.config import ExperimentConfig
+
+    numeric, sections = {}, [ExperimentConfig]
+    for cls in sections:
+        for field in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(field.default):
+                sections.append(type(field.default))
+            elif field.type in ("int", "float", "tuple[int, ...]") and field.name != "seed":
+                numeric[f"{cls.__name__}.{field.name}"] = field.metadata.get("interval")
+    # 32 settable values: all but the seed and the overlap measure are numeric.
+    assert len(sections) == 7 and len(numeric) == 30
+    assert [name for name, interval in numeric.items() if interval is None] == []
+
+
 def is_dataclass_def(node):
     return isinstance(node, ast.ClassDef) and any(
         "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))

@@ -7,6 +7,7 @@ determinism experiments live in the acceptance suite.
 import dataclasses
 import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,30 @@ class TestCli:
         assert "sweep value '0.3' for lambda is repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_spellings_of_one_sweep_value_are_a_config_error(self, tmp_path, capsys):
+        # 0.3 and 0.30 parse to one config, which would be trained twice.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "sweep"
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0.3,0.30", "--out", str(out),
+        ]) == 2
+        assert "sweep value '0.30' for lambda is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_dataset_is_a_numeric_error_before_any_output(self, tmp_path, capsys):
+        cfg = tiny_config(data=dataclasses.replace(tiny_config().data, noise_scale=1e308))
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, cfg)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite feature vector" in err and "noise_scale 1e+308" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edits, named",
         [
@@ -562,7 +587,7 @@ class TestCli:
         assert "Infinity" in cfg_path.read_text()
         out = tmp_path / "run"
         assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "learning rate and schedule fractions must be finite, not inf" in (
+        assert "OptimConfig.peak_lr must be finite, not inf" in (
             capsys.readouterr().err
         )
         assert not out.exists()
