@@ -374,10 +374,13 @@ class TestCli:
 
     def test_underflowed_mixture_weight_is_a_numeric_failure(self, tmp_path, capsys):
         # At this learning rate a stage-one softmax weight underflows to 0
-        # in epoch 4: a runtime failure (exit 4), not a config error (2).
+        # within the first epoch, at both λ = 0 and λ = 0.3: a runtime
+        # failure (exit 4), not a config error (2).  A rate that fails only
+        # late in a chaotic run would hang the test on the last bits of
+        # every sum in the trajectory.
         cfg = ExperimentConfig(
             data=DataConfig(num_samples=400),
-            optim=OptimConfig(peak_lr=3.0, batch_size=32, contrastive_epochs=5),
+            optim=OptimConfig(peak_lr=10.0, batch_size=32, contrastive_epochs=5),
             seed=1,
         )
         cfg_path = tmp_path / "cfg.json"
