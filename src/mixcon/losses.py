@@ -200,16 +200,19 @@ def asl_loss_t(
     # entries pinned to safe values (p = 0.5, p_m = 0), so a masked entry
     # never takes log(0).
     p_pos = np.where(pos, p, 0.5)
-    q_pos = 1.0 - p_pos
     log_pos = np.log(p_pos)
     shifted = p - cfg.margin
     live = ~pos & (shifted > 0.0)
     p_m = np.where(live, shifted, 0.0)
     q_m = 1.0 - p_m
     log_neg = np.log(q_m)
-    focus_pos = np.power(q_pos, gamma_pos) if gamma_pos else 1.0
+    focus_pos, term_pos = 1.0, log_pos
+    if gamma_pos:
+        q_pos = 1.0 - p_pos
+        focus_pos = np.power(q_pos, gamma_pos)
+        term_pos = focus_pos * log_pos
     focus_neg = np.power(p_m, gamma_neg) if gamma_neg else 1.0
-    loss = -np.where(pos, focus_pos * log_pos, focus_neg * log_neg).sum()
+    loss = -np.where(pos, term_pos, focus_neg * log_neg).sum()
 
     def vjp(g):
         d_pos = -focus_pos / p_pos

@@ -132,7 +132,8 @@ def sigmoid_array(x: Array) -> Array:
     package is this one formula, so the training head and inference give
     the same bytes."""
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    denom = 1.0 + t
+    return np.where(x >= 0, 1.0 / denom, t / denom)
 
 
 # -- elementwise binary ops ---------------------------------------------
