@@ -18,6 +18,7 @@ same config.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,6 +118,30 @@ def _save_checkpoint(cfg: ExperimentConfig, out: Path, params, kind: str) -> Pat
     return path
 
 
+@functools.cache
+def _keep_freed_heap_mapped() -> None:
+    """Tell glibc to keep freed memory mapped for the rest of the process.
+
+    A training step frees its whole tape graph, and by default glibc
+    serves the (R, B, B) similarity blocks from their own mappings and
+    trims the freed top of the heap, so the next step faults every page
+    back in.  Where the C library has no ``mallopt`` this does nothing.
+    Allocation placement moves no output byte.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # M_MMAP_THRESHOLD: blocks below this come from the heap, not from a
+    # mapping of their own; 32 MiB is glibc's ceiling on 64-bit systems.
+    mallopt(-3, 32 << 20)
+    # M_TRIM_THRESHOLD: free space at the top of the heap is handed back
+    # to the kernel only once it exceeds this.
+    mallopt(-1, 256 << 20)
+
+
 def _fit(
     params,
     optim: OptimConfig,
@@ -143,6 +168,7 @@ def _fit(
     objective, epoch and step appended.  Returns one row per epoch: the
     epoch, the per-step mean of every logged Tensor, and the last lr.
     """
+    _keep_freed_heap_mapped()
     state = init_adam(params, keys=tuple(k for k in params if k.startswith(trainable)))
     batch = optim.batch_size
     steps_per_epoch = num_samples // batch if drop_last else math.ceil(num_samples / batch)

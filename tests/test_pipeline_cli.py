@@ -244,6 +244,27 @@ class TestPipeline:
         train_contrastive(tiny_config(), tmp_path)
         assert len(live) == 6 and live == [live[0]] * 6
 
+    def test_stage_one_does_not_fault_its_heap_back_in_each_step(self, tmp_path):
+        # Each step frees its tape graph; the next step must reuse those
+        # pages instead of faulting them in again from the kernel.
+        resource = pytest.importorskip("resource")
+        ctypes = pytest.importorskip("ctypes")
+        try:
+            ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):
+            pytest.skip("the C library has no mallopt")
+        cfg = ExperimentConfig(
+            data=DataConfig(num_samples=600),
+            optim=OptimConfig(batch_size=64, contrastive_epochs=2),
+        )
+        train_idx = pipeline.dataset_split(cfg)[2]
+        steps = len(train_idx) // 64 * 2
+        train_contrastive(cfg, tmp_path / "first")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_contrastive(cfg, tmp_path / "second")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50 * steps, f"{faults / steps:.0f} minor faults per stage-one step"
+
     def test_overfit_toy_run_ranks_training_split_well(self, tmp_path):
         cfg = ExperimentConfig(
             data=DataConfig(
