@@ -8,7 +8,8 @@ lr(total) == peak * final_factor hold exactly, not just approximately.
 
 Adam (Kingma & Ba, 2015) with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8
 keeps its own copy of the parameters it trains in one flat buffer, so a
-step is three whole-buffer expressions however many arrays the model has.
+step updates three whole buffers in place however many arrays the model
+has.
 The caller's parameter dict is left as it was; read the trained values
 from ``state.views``.
 """
@@ -85,14 +86,11 @@ def adam_step(state: AdamState, gradients: dict[str, np.ndarray], lr_now: float)
     state.step_count += 1
     t = state.step_count
     g = np.concatenate([gradients[name].reshape(-1) for name in state.views])
-    # The moments are rebound to new arrays, not updated in place.  A
-    # training step calls this while its tape graph is alive, so they tend
-    # to land above the graph on the heap and keep glibc from handing the
-    # freed graph's memory back to the kernel, for the next step to fault
-    # in again.  Moments updated in place gave a batch-64 sweep repeat five
-    # times the minor faults (140k against 26k).
-    m = state.m = state.m * BETA1 + g * (1.0 - BETA1)
-    v = state.v = state.v * BETA2 + g * g * (1.0 - BETA2)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += g * (1.0 - BETA1)
+    v *= BETA2
+    v += g * g * (1.0 - BETA2)
     state.flat -= m / (1.0 - BETA1**t) * lr_now / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
