@@ -82,13 +82,18 @@ def similarity_matrix_t(
     ``U_ij = sum_r half_r w_ik w_jl P_ijkl`` and ``X = U + U^T``: a k < l
     block also stands for (l, k), its transpose, so ``half`` is 1 there
     and 0.5 on the k = l blocks, which the transpose would count twice.
-    As L = sum_ij Gs_ij U_ij, the VJP reduces each block at both of its
-    ends: the k end, ``half_r sum_j Gs_ij w_jl F_rij``, feeds component k
-    of mixture i, and the l end, ``parity half_r sum_i Gs_ij w_ik F_rij``,
-    feeds component l of mixture j, where F is the factor (P, P q or
-    P (q^2 - 1/s), with q = delta / s) and parity is -1 for the means,
-    whose delta changes sign with the end, and 1 otherwise.
-    ``np.add.at`` sums the R block ends into the (C, B) gradient.
+    As L = sum_ij Gs_ij U_ij, the VJP first forms ``A = P Gs`` once, an
+    (R, B, B) block with Gs broadcast over r, and from it the factors F:
+    A for the weights, A q for the means and A q^2 - A / s for the
+    variances (q = delta / s), the last built in place over the buffers
+    of the first two.  It then reduces each block at both of its ends
+    with a two-operand ``einsum``: the k end, ``half_r sum_j w_jl F_rij``,
+    feeds component k of mixture i, and the l end,
+    ``parity half_r sum_i w_ik F_rij``, feeds component l of mixture j,
+    where parity is -1 for the means, whose delta changes sign with the
+    end, and 1 otherwise.  ``np.add.at`` sums the R block ends into the
+    (C, B) gradient.  No ``einsum`` takes ``optimize``, and nothing here
+    calls ``matmul`` or ``dot``, so no BLAS call enters the op.
     """
     b, c = _check_param_block(weights, means, variances)
     # (C, B): row k holds component k of every mixture.
@@ -112,18 +117,24 @@ def similarity_matrix_t(
         gs = gx + gx.T
 
         def both_ends(factor, parity):
-            """(B, C) sum_jl Gs_ij w_jl factor_ijkl, from each block's k end
-            and, with factor_jilk = parity * factor_ijkl, its l end."""
+            """(B, C) sum_jl w_jl factor_ijkl, from each block's k end and,
+            with factor_jilk = parity * factor_ijkl, its l end."""
             out = np.zeros((c, b))
-            np.add.at(out, kk, half * np.einsum("ij,rj,rij->ri", gs, w_l, factor))
-            np.add.at(out, ll, parity * np.einsum("ij,ri,rij->rj", gs, w_k, factor))
+            np.add.at(out, kk, half * np.einsum("rij,rj->ri", factor, w_l))
+            np.add.at(out, ll, parity * np.einsum("rij,ri->rj", factor, w_k))
             return out.T
 
-        gw = both_ends(pair, 1.0) if weights.requires_grad else None
-        gm = both_ends(pair * q, -1.0) * w.T * -dim if means.requires_grad else None
+        a = pair * gs
+        aq = a * q
+        gw = both_ends(a, 1.0) if weights.requires_grad else None
+        gm = both_ends(aq, -1.0) * w.T * -dim if means.requires_grad else None
         gv = None
         if variances.requires_grad:
-            gv = both_ends(pair * (q * q - 1.0 / s), 1.0) * w.T * (0.5 * dim)
+            # a q^2 - a / s, built over the two buffers once gw has read a.
+            aq *= q
+            a /= s
+            aq -= a
+            gv = both_ends(aq, 1.0) * w.T * (0.5 * dim)
         return gw, gm, gv
 
     return tape.node("similarity", sim, (weights, means, variances), vjp)

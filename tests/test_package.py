@@ -147,6 +147,23 @@ def test_config_tree_lives_in_config_module():
     assert type_checking == []
 
 
+def test_similarity_op_makes_no_blas_call():
+    # The determinism promise leans on the mixture similarity, forward and
+    # VJP, using no BLAS routine: einsum without optimize never calls one.
+    tree = ast.parse((ROOT / "src" / "mixcon" / "losses.py").read_text(encoding="utf-8"))
+    [op] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "similarity_matrix_t"]
+    found = []
+    for node in ast.walk(op):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("matmul", "dot", "tensordot"):
+            found.append(name)
+        if isinstance(node, ast.keyword) and node.arg == "optimize":
+            found.append("optimize=")
+    assert found == []
+
+
 def test_import_loads_no_test_dependency():
     # numpy is the only runtime dependency; scipy, hypothesis and pytest
     # serve the tests alone.
