@@ -4,6 +4,7 @@ Training runs here are deliberately tiny; the heavier directional and
 determinism experiments live in the acceptance suite.
 """
 
+import ctypes
 import dataclasses
 import gc
 import json
@@ -248,10 +249,7 @@ class TestPipeline:
         # Each step frees its tape graph; the next step must reuse those
         # pages instead of faulting them in again from the kernel.
         resource = pytest.importorskip("resource")
-        ctypes = pytest.importorskip("ctypes")
-        try:
-            ctypes.CDLL(None).mallopt
-        except (AttributeError, OSError, TypeError):
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
             pytest.skip("the C library has no mallopt")
         cfg = ExperimentConfig(
             data=DataConfig(num_samples=600),
@@ -397,8 +395,8 @@ class TestCli:
         # At this learning rate a stage-one softmax weight underflows to 0
         # within the first epoch, at both λ = 0 and λ = 0.3: a runtime
         # failure (exit 4), not a config error (2).  A rate that fails only
-        # late in a chaotic run would hang the test on the last bits of
-        # every sum in the trajectory.
+        # late in a chaotic run would make the outcome depend on the last
+        # bits of every sum along the way.
         cfg = ExperimentConfig(
             data=DataConfig(num_samples=400),
             optim=OptimConfig(peak_lr=10.0, batch_size=32, contrastive_epochs=5),
