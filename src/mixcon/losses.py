@@ -73,7 +73,6 @@ def similarity_matrix_t(
     ``gw_ik = sum_jl Gs_ij w_jl P_ijkl``,
     ``gm_ik = -dim sum_jl Gs_ij K delta / s``,
     ``gv_ik = (dim/2) sum_jl Gs_ij K (delta^2 / s - 1) / s``.
-    A parameter block that needs no gradient gets None.
 
     Layout: the symmetry is taken over component pairs, not mixture pairs.
     Each component pair r = (k, l) with k <= l (R = C(C+1)/2 of them) is
@@ -126,16 +125,13 @@ def similarity_matrix_t(
 
         a = pair * gs
         aq = a * q
-        gw = both_ends(a, 1.0) if weights.requires_grad else None
-        gm = both_ends(aq, -1.0) * w.T * -dim if means.requires_grad else None
-        gv = None
-        if variances.requires_grad:
-            # a q^2 - a / s, built over the two buffers once gw has read a.
-            aq *= q
-            a /= s
-            aq -= a
-            gv = both_ends(aq, 1.0) * w.T * (0.5 * dim)
-        return gw, gm, gv
+        gw = both_ends(a, 1.0)
+        gm = both_ends(aq, -1.0) * w.T * -dim
+        # a q^2 - a / s, built over the two buffers once gw and gm have read them.
+        aq *= q
+        a /= s
+        aq -= a
+        return gw, gm, both_ends(aq, 1.0) * w.T * (0.5 * dim)
 
     return tape.node("similarity", sim, (weights, means, variances), vjp)
 
@@ -154,7 +150,8 @@ def pcl_loss_t(
     -(1/|A(i)|) * sum_{j in A(i)} D_ij * log softmax over l != i of
     Sim_il / tau.  Anchors with empty positive sets contribute zero.
     """
-    b, _ = _check_param_block(weights, means, variances)
+    logits = similarity_matrix_t(weights, means, variances, dim) / cfg.tau
+    b = logits.value.shape[0]
     if b < 2:
         raise InputError("contrastive batches need at least 2 views")
     label_stack = np.asarray(labels)
@@ -167,9 +164,8 @@ def pcl_loss_t(
     rows = counts > 0
     coef[rows] = -(d[rows] * positive[rows]) / counts[rows, None]
 
-    logits = similarity_matrix_t(weights, means, variances, dim) / cfg.tau
     masked = tape.where(~np.eye(b, dtype=bool), logits, tape.constant(-np.inf))
-    log_denom = tape.logsumexp(masked, axis=1, keepdims=True)
+    log_denom = tape.logsumexp(masked, axis=1)
     log_softmax = logits - log_denom
     return tape.tsum(tape.constant(coef) * log_softmax)
 
@@ -234,9 +230,6 @@ def asl_loss_t(
         if gamma_neg:
             d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)
         dz = g * np.where(pos, d_pos, np.where(live, d_neg, 0.0)) * p * (1.0 - p)
-        return (
-            e.T @ dz if weight.requires_grad else None,
-            dz.sum(axis=0) if bias.requires_grad else None,
-        )
+        return e.T @ dz, dz.sum(axis=0)
 
     return tape.node("asl", loss, (weight, bias), vjp)

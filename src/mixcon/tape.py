@@ -28,9 +28,7 @@ from .errors import InputError, NumericError
 
 Array = np.ndarray
 
-# Maps the output gradient to one gradient per parent (the op's VJP); it
-# returns None for a parent that needs none, so constant operands cost
-# nothing.
+# Maps the output gradient to one gradient per parent (the op's VJP).
 _BackwardFn = Callable[[Array], tuple]
 
 
@@ -107,14 +105,17 @@ def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) 
 
     ``op`` names the operation in numeric-error messages.  ``backward_fn``
     maps the gradient of ``value`` to a tuple with one entry per parent,
-    in order: that parent's gradient, shaped like its value, or None when
-    the parent does not require one.  :func:`backward` skips entries for
-    parents that need no gradient, and raises :class:`NumericError` naming
-    ``op`` for a non-finite one that reaches a leaf.  ``backward_fn`` must
-    be a pure function of the gradient it is given, which it must not
-    modify: a failed pass is repeated to find that op.  When no parent
-    needs a gradient the result is a constant and ``backward_fn`` is
-    dropped.
+    in order: that parent's gradient, shaped like its value.  The reverse
+    pass alone decides which parents receive one: :func:`backward` skips
+    the entry of every parent that needs no gradient, and raises
+    :class:`NumericError` naming ``op`` for a non-finite one that reaches
+    a leaf.  So a fused op returns a gradient for every parent; only the
+    elementwise ops and ``matmul``, whose constant operands (max shifts,
+    scalars, the encoder's input) occur in every step, put None there to
+    skip the arithmetic.  ``backward_fn`` must be a pure function of the
+    gradient it is given, which it must not modify: a failed pass is
+    repeated to find that op.  When no parent needs a gradient the result
+    is a constant and ``backward_fn`` is dropped.
     """
     needs = any(p.requires_grad for p in parents)
     return Tensor(
@@ -269,9 +270,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.value.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
@@ -296,14 +295,12 @@ def matmul(a, b) -> Tensor:
 # -- composed numerically stable reductions ------------------------------
 
 
-def logsumexp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(a))) along ``axis`` with a detached max shift."""
+def logsumexp(a: Tensor, axis: int) -> Tensor:
+    """log(sum(exp(a))) along ``axis`` with a detached max shift; the
+    reduced axis is kept with size 1."""
     shift = np.max(a.value, axis=axis, keepdims=True)
     summed = tsum(exp(a - constant(shift)), axis=axis, keepdims=True)
-    out = log(summed) + constant(shift)
-    if not keepdims:
-        out = reshape(out, np.squeeze(out.value, axis=axis).shape)
-    return out
+    return log(summed) + constant(shift)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

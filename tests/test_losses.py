@@ -201,12 +201,21 @@ def test_similarity_op_matches_composite_graph_with_zero_weight_padding():
     "trainable", [(False, True, True), (True, False, False), (False, False, True)]
 )
 def test_similarity_op_returns_no_gradient_for_constant_blocks(trainable):
+    """The op's VJP returns a gradient for every block; the reverse pass
+    alone keeps it from a constant, and a leaf's is the one it gets when
+    every block is a leaf, bit for bit."""
     w, m, v, _ = random_batch(np.random.default_rng(25), 4, 3, 2)
     assert_matches_composite_graph(w, m, v, 2, seed=26, trainable=trainable)
-    blocks = [tape.leaf(b) if t else tape.constant(b) for b, t in zip((w, m, v), trainable)]
-    sim = similarity_matrix_t(*blocks, 2)
-    for grad, t in zip(sim._backward(np.ones((4, 4))), trainable):
-        assert (grad is not None) == t
+    grads = []
+    for kinds in ((True, True, True), trainable):
+        blocks = [tape.leaf(b) if t else tape.constant(b) for b, t in zip((w, m, v), kinds)]
+        tape.backward(tape.tsum(similarity_matrix_t(*blocks, 2)))
+        grads.append([b.grad for b in blocks])
+    for want, got, t in zip(*grads, trainable):
+        if t:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got is None
 
 
 # -- pcl -----------------------------------------------------------------------
@@ -612,3 +621,28 @@ def test_asl_op_matches_the_tape_chain_bit_for_bit(gamma_pos, gamma_neg, margin,
         np.testing.assert_array_equal(value, want_value)
         np.testing.assert_array_equal(gw, want_gw)
         np.testing.assert_array_equal(gb, want_gb)
+
+
+@pytest.mark.parametrize("trainable", [(True, False), (False, True)])
+def test_asl_op_returns_no_gradient_for_a_constant_operand(trainable):
+    """As for the similarity op: the constant operand's gradient stays
+    None, and the leaf's equals, bit for bit, the one it gets when both
+    operands are leaves and the one the tape chain gives it."""
+    cfg = AslConfig(gamma_pos=0.5, gamma_neg=4.0, margin=0.05)
+    weight, bias, embeddings, positive = head_batch(np.random.default_rng(63), cfg.margin)
+    grads = []
+    for loss_fn, kinds in (
+        (asl_loss_t, (True, True)),
+        (asl_loss_t, trainable),
+        (reference.head_asl_t, trainable),
+    ):
+        operands = [tape.leaf(x) if t else tape.constant(x) for x, t in zip((weight, bias), kinds)]
+        tape.backward(loss_fn(*operands, embeddings, positive, cfg))
+        grads.append([o.grad for o in operands])
+    both, fused, chain = grads
+    for want, got, want_chain, t in zip(both, fused, chain, trainable):
+        if t:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, want_chain)
+        else:
+            assert got is None and want_chain is None

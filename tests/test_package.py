@@ -164,6 +164,22 @@ def test_similarity_op_makes_no_blas_call():
     assert found == []
 
 
+def test_fused_ops_leave_gradient_routing_to_the_reverse_pass():
+    # A fused op returns a gradient for every parent, and the reverse pass
+    # alone skips a parent that needs none (see tape.node).
+    tree = ast.parse((ROOT / "src" / "mixcon" / "losses.py").read_text(encoding="utf-8"))
+    fused = ("similarity_matrix_t", "asl_loss_t")
+    ops = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in fused]
+    assert sorted(op.name for op in ops) == sorted(fused)
+    found = [
+        f"{op.name}:{node.lineno}"
+        for op in ops
+        for node in ast.walk(op)
+        if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+    ]
+    assert found == []
+
+
 def test_import_loads_no_test_dependency():
     # numpy is the only runtime dependency; scipy, hypothesis and pytest
     # serve the tests alone.

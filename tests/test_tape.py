@@ -150,7 +150,8 @@ def test_elu_is_continuous_at_zero():
 def test_logsumexp_matches_direct_formula_and_fd():
     a = RNG.normal(size=(4, 3)) * 5
     out = tape.logsumexp(tape.constant(a), axis=1)
-    expected = np.log(np.exp(a).sum(axis=1))
+    expected = np.log(np.exp(a).sum(axis=1, keepdims=True))
+    assert out.value.shape == expected.shape == (4, 1)
     np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 
     def fn(ts):
