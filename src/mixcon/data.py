@@ -11,10 +11,11 @@ linearly recoverable.
 
 All randomness flows through ``numpy.random.default_rng`` seeded by a
 splitmix64 stream discipline: every consumer (prototypes, labels, noise,
-each contrastive batch's augmentation, per-epoch shuffles) gets its own
-derived seed, so adding a consumer never shifts another's draws.  A
-contrastive batch draws all of its views from one generator, so it is
-reproducible as a whole from its seed, not view by view.
+class balance, the split, the initial parameters, each contrastive
+batch's augmentation, per-epoch shuffles) gets its own derived seed, so
+adding a consumer never shifts another's draws.  A contrastive batch
+draws all of its views from one generator, so it is reproducible as a
+whole from its seed, not view by view.
 """
 
 from __future__ import annotations
@@ -29,11 +30,20 @@ from .errors import InputError, NumericError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Stream indices for derived seeds (documented, never reordered).
+# Every stream id that splitmix64 derives from the experiment seed
+# (documented, never reordered); no two consumers share one.  Per-item
+# seeds nest under their consumer's stream: class c's balance row under
+# STREAM_BALANCE, epoch e's shuffle under its shuffle stream, step t's
+# views under STREAM_VIEWS, each as splitmix64(splitmix64(seed, stream), i).
 STREAM_PROTOTYPES = 0
 STREAM_LABELS = 1
 STREAM_NOISE = 2
 STREAM_BALANCE = 3
+STREAM_SPLIT = 1000
+STREAM_INIT = 1001
+STREAM_CONTRASTIVE_SHUFFLE = 1002
+STREAM_VIEWS = 1003
+STREAM_CLASSIFIER_SHUFFLE = 1004
 
 
 def splitmix64(seed: int, stream: int) -> int:
@@ -83,10 +93,10 @@ def generate_synthetic(cfg: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarr
         labels[zero_rows] = _draw_labels(rng_labels, zero_rows.size, *law)
     else:
         raise InputError("could not draw nonzero label vectors; marginals too small")
+    balance = splitmix64(seed, STREAM_BALANCE)
     for c in range(cfg.num_classes):
         if labels[:, c].sum() == 0:
-            row = splitmix64(seed, STREAM_BALANCE + 10 * c) % cfg.num_samples
-            labels[row, c] = 1
+            labels[splitmix64(balance, c) % cfg.num_samples, c] = 1
     rng_proto = np.random.default_rng(splitmix64(seed, STREAM_PROTOTYPES))
     prototypes = rng_proto.standard_normal((cfg.num_classes, cfg.input_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)

@@ -6,13 +6,13 @@ two freezes everything but the linear classifier head and trains it
 with the asymmetric loss on raw (un-augmented) features, then reports
 held-out metrics.
 
-Every derived random stream gets its own splitmix64 namespace, so the
-dataset, split, init, per-epoch shuffles and the augmentation seed of
-each stage-one step are all independent functions of the single
-experiment seed; a step's whole batch of views is reproducible from
-(seed, step).  Artifacts (checkpoints, loss CSVs, metric reports) embed
-the config hash and seed and are byte-identical across reruns of the
-same config.
+Every derived random stream gets its own splitmix64 namespace, named in
+the one stream table in ``data.py``, so the dataset, split, init,
+per-epoch shuffles and the augmentation seed of each stage-one step are
+all independent functions of the single experiment seed; a step's whole
+batch of views is reproducible from (seed, step).  Artifacts
+(checkpoints, loss CSVs, metric reports) embed the config hash and seed
+and are byte-identical across reruns of the same config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,16 @@ from .config import (
     differing_fields,
     to_dict,
 )
-from .data import generate_synthetic, make_contrastive_batch, splitmix64
+from .data import (
+    STREAM_CLASSIFIER_SHUFFLE,
+    STREAM_CONTRASTIVE_SHUFFLE,
+    STREAM_INIT,
+    STREAM_SPLIT,
+    STREAM_VIEWS,
+    generate_synthetic,
+    make_contrastive_batch,
+    splitmix64,
+)
 from .errors import InputError, NumericError
 from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
 from .metrics import HEADLINE, MetricsReport, PredictionSet, pr_f1_report, report_to_json
@@ -53,12 +62,6 @@ from .model import (
 )
 from .optim import adam_step, init_adam, one_cycle_lr
 from .overlap import positive_pair_count
-
-STREAM_SPLIT = 1000
-STREAM_INIT = 1001
-STREAM_CONTRASTIVE_SHUFFLE = 1002
-STREAM_VIEWS = 1003
-STREAM_CLASSIFIER_SHUFFLE = 1004
 
 SWEEP_PARAMS = ("tau", "alpha", "lambda", "measure")
 

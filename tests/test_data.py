@@ -12,8 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from mixcon import data, pipeline
 from mixcon.config import AugmentConfig, DataConfig
 from mixcon.data import (
+    STREAM_BALANCE,
+    STREAM_LABELS,
+    STREAM_NOISE,
     STREAM_PROTOTYPES,
     generate_synthetic,
     make_contrastive_batch,
@@ -296,3 +300,29 @@ class TestSplitmix:
         assert len(values) == 100
         assert all(0 <= v < 2**64 for v in values)
         assert splitmix64(1, 0) != splitmix64(2, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_data_draws_no_pipeline_stream(self, seed, monkeypatch):
+        # Eight rows at marginal 0.02 leave class 100 of 101 absent, so its
+        # balance row is forced.  Every stream drawn from the experiment
+        # seed must be one of the generator's own, never one the pipeline
+        # draws from that seed too.
+        derived = []
+
+        def recording(base, stream):
+            if base == seed:
+                derived.append(stream)
+            return splitmix64(base, stream)
+
+        monkeypatch.setattr(data, "splitmix64", recording)
+        _, labels = generate_synthetic(data_cfg(8, 101, 4, marginal=0.02), seed)
+        assert labels[:, 100].sum() == 1
+        pipeline_streams = {
+            pipeline.STREAM_SPLIT,
+            pipeline.STREAM_INIT,
+            pipeline.STREAM_CONTRASTIVE_SHUFFLE,
+            pipeline.STREAM_VIEWS,
+            pipeline.STREAM_CLASSIFIER_SHUFFLE,
+        }
+        assert pipeline_streams.isdisjoint(derived)
+        assert set(derived) <= {STREAM_PROTOTYPES, STREAM_LABELS, STREAM_NOISE, STREAM_BALANCE}
