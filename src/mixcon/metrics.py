@@ -42,7 +42,7 @@ class PredictionSet:
             raise NumericError("non-finite scores")
         if np.any(scores < 0.0) or np.any(scores > 1.0):
             raise InputError("scores must lie in [0, 1]")
-        if not np.isin(truths, (0, 1)).all():
+        if not ((truths == 0) | (truths == 1)).all():
             raise InputError("truths must be binary")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "truths", truths.astype(np.int64))
@@ -100,7 +100,7 @@ def average_precision(scores, truths) -> float:
         raise InputError("average_precision expects aligned 1-D arrays")
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite scores")
-    if not np.isin(truths, (0, 1)).all():
+    if not ((truths == 0) | (truths == 1)).all():
         raise InputError("truths must be binary")
     hit = truths[np.argsort(-scores, kind="stable")] == 1
     if not hit.any():

@@ -28,7 +28,7 @@ def overlap_matrix(labels, measure: str) -> np.ndarray:
     stack = np.asarray(labels)
     if stack.ndim != 2 or stack.shape[0] < 1:
         raise InputError("labels must form a nonempty (m, C) array")
-    if not np.isin(stack, (0, 1)).all():
+    if not ((stack == 0) | (stack == 1)).all():
         raise InputError("label entries must be 0 or 1")
     stack = stack.astype(np.int64)
     gram = (stack @ stack.T).astype(np.float64)
