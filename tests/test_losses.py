@@ -636,7 +636,9 @@ def test_asl_op_returns_no_gradient_for_a_constant_operand(trainable):
         (asl_loss_t, trainable),
         (reference.head_asl_t, trainable),
     ):
-        operands = [tape.leaf(x) if t else tape.constant(x) for x, t in zip((weight, bias), kinds)]
+        operands = [
+            tape.leaf(x) if t else tape.constant(x) for x, t in zip((weight, bias), kinds)
+        ]
         tape.backward(loss_fn(*operands, embeddings, positive, cfg))
         grads.append([o.grad for o in operands])
     both, fused, chain = grads
