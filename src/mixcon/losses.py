@@ -185,7 +185,8 @@ def asl_loss_t(
     ``G (g+ (1-p)^(g+ - 1) log p - (1-p)^g+ / p)`` where y = 1, and
     ``G (-g- p_m^(g- - 1) log(1 - p_m) + p_m^g- / (1 - p_m)) [p > margin]``
     where y = 0; then ``dz = dL/dp * p * (1 - p)``, ``e^T dz`` for the
-    weight and ``dz`` summed over the batch for the bias.  These are the
+    weight and ``dz`` itself for the bias, which the reverse pass sums
+    over the batch as it does for any broadcast parent.  These are the
     float operations of the matmul, add, sigmoid and loss ops this node
     stands for, in their order.  An exponent of 0 makes its factor the
     constant 1 and drops its derivative term.  At p = 1 the g+ term is
@@ -230,6 +231,6 @@ def asl_loss_t(
         if gamma_neg:
             d_neg = d_neg - gamma_neg * log_neg * np.power(p_m, gamma_neg - 1.0)
         dz = g * np.where(pos, d_pos, np.where(live, d_neg, 0.0)) * p * (1.0 - p)
-        return e.T @ dz, dz.sum(axis=0)
+        return e.T @ dz, dz
 
     return tape.node("asl", loss, (weight, bias), vjp)

@@ -14,8 +14,10 @@ contribution that never reaches a leaf (for example one that ``where``
 masks out) is not an error: nothing downstream consumes it.
 
 Only the operations needed by the losses and the model are provided.
-All arithmetic follows numpy broadcasting; gradients are summed back
-over broadcast axes so leaf gradients always match leaf shapes.
+All arithmetic follows numpy broadcasting.  An op's VJP may return a
+parent's gradient at the op's output shape; the reverse pass sums it
+back over the broadcast axes, so every gradient matches its tensor's
+shape.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` over the axes numpy broadcast to reach ``grad.shape``."""
-    if grad.shape == shape:
-        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -105,17 +105,20 @@ def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) 
 
     ``op`` names the operation in numeric-error messages.  ``backward_fn``
     maps the gradient of ``value`` to a tuple with one entry per parent,
-    in order: that parent's gradient, shaped like its value.  The reverse
-    pass alone decides which parents receive one: :func:`backward` skips
-    the entry of every parent that needs no gradient, and raises
-    :class:`NumericError` naming ``op`` for a non-finite one that reaches
-    a leaf.  So a fused op returns a gradient for every parent; only the
-    elementwise ops and ``matmul``, whose constant operands (max shifts,
-    scalars, the encoder's input) occur in every step, put None there to
-    skip the arithmetic.  ``backward_fn`` must be a pure function of the
-    gradient it is given, which it must not modify: a failed pass is
-    repeated to find that op.  When no parent needs a gradient the result
-    is a constant and ``backward_fn`` is dropped.
+    in order: that parent's gradient, an array (a numpy scalar counts)
+    shaped like the parent's value, or like ``value`` where the op
+    broadcast the parent.  The reverse pass alone routes, sums and checks
+    these entries: :func:`backward` skips the entry of every parent that
+    needs no gradient, sums one shaped unlike its parent back over the
+    axes numpy broadcast, and raises :class:`NumericError` naming ``op``
+    for a non-finite one that reaches a leaf.  So a fused op returns a
+    gradient for every parent; only ``sub``'s second operand, ``mul``,
+    ``div``, ``where`` and ``matmul``, whose constant operands (max
+    shifts, scalars, the encoder's input) occur in every step, put None
+    there to skip the arithmetic.  ``backward_fn`` must be a pure function
+    of the gradient it is given, which it must not modify: a failed pass
+    is repeated to find that op.  When no parent needs a gradient the
+    result is a constant and ``backward_fn`` is dropped.
     """
     needs = any(p.requires_grad for p in parents)
     return Tensor(
@@ -142,28 +145,13 @@ def sigmoid_array(x: Array) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.value + b.value
-
-    def bw(g):
-        return (
-            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.value.shape) if b.requires_grad else None,
-        )
-
-    return node("add", out, (a, b), bw)
+    return node("add", a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.value - b.value
-
-    def bw(g):
-        return (
-            _unbroadcast(g, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.value.shape) if b.requires_grad else None,
-        )
-
-    return node("sub", out, (a, b), bw)
+    return node("sub", out, (a, b), lambda g: (g, -g if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
@@ -172,8 +160,8 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None,
+            g * b.value if a.requires_grad else None,
+            g * a.value if b.requires_grad else None,
         )
 
     return node("mul", out, (a, b), bw)
@@ -185,10 +173,8 @@ def div(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
-            if b.requires_grad
-            else None,
+            g / b.value if a.requires_grad else None,
+            -g * a.value / (b.value * b.value) if b.requires_grad else None,
         )
 
     return node("div", out, (a, b), bw)
@@ -248,8 +234,8 @@ def where(condition, a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(np.where(cond, g, 0.0), a.value.shape) if a.requires_grad else None,
-            _unbroadcast(np.where(cond, 0.0, g), b.value.shape) if b.requires_grad else None,
+            np.where(cond, g, 0.0) if a.requires_grad else None,
+            np.where(cond, 0.0, g) if b.requires_grad else None,
         )
 
     return node("where", out, (a, b), bw)
@@ -335,8 +321,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def _walk(loss: Tensor, order: list[Tensor], checked: bool) -> None:
     """One reverse pass from ``loss`` over ``order``, after resetting every
-    gradient in it.  With ``checked``, a non-finite contribution raises
-    :class:`NumericError` naming the op that produced it."""
+    gradient in it.  A contribution shaped unlike its parent is summed over
+    the broadcast axes before it is checked and added.  With ``checked``, a
+    non-finite contribution raises :class:`NumericError` naming the op
+    that produced it."""
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.value)
@@ -347,6 +335,8 @@ def _walk(loss: Tensor, order: list[Tensor], checked: bool) -> None:
         for parent, contribution in zip(node._parents, contributions):
             if not parent.requires_grad:
                 continue
+            if contribution.shape != parent.value.shape:
+                contribution = _unbroadcast(contribution, parent.value.shape)
             if checked and not np.all(np.isfinite(contribution)):
                 raise NumericError(f"non-finite gradient produced by op '{node.op}'")
             if parent.grad is None:

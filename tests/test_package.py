@@ -180,6 +180,21 @@ def test_fused_ops_leave_gradient_routing_to_the_reverse_pass():
     assert found == []
 
 
+def test_only_the_reverse_pass_sums_broadcast_gradients():
+    # An op's VJP may return a parent's gradient at the op's output shape;
+    # tape._walk alone sums it back over the broadcast axes (see tape.node).
+    callers = []
+    for path in MODULES:
+        for definition in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [
+                f"{path.name}:{getattr(definition, 'name', definition.lineno)}"
+                for node in ast.walk(definition)
+                if isinstance(node, ast.Call)
+                and "_unbroadcast" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+    assert callers == ["tape.py:_walk"]
+
+
 def test_import_loads_no_test_dependency():
     # numpy is the only runtime dependency; scipy, hypothesis and pytest
     # serve the tests alone.

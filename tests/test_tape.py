@@ -252,6 +252,28 @@ def test_custom_op_skips_parents_that_need_no_gradient():
     assert not constant_only.requires_grad and constant_only._backward is None
 
 
+@pytest.mark.parametrize(
+    "shape, reduce",
+    [
+        ((4,), dict(axis=0)),
+        ((1, 4), dict(axis=0, keepdims=True)),
+        ((5, 1), dict(axis=1, keepdims=True)),
+    ],
+    ids=["dropped-axis", "kept-row", "kept-column"],
+)
+def test_walk_sums_a_broadcast_contribution_back_to_its_parent(shape, reduce):
+    # A custom op that broadcast its parent over a (5, 4) block may return
+    # the parent's gradient at that block's shape; the reverse pass sums it.
+    block = np.random.default_rng(4).normal(size=(5, 4))
+    parent = tape.leaf(np.zeros(shape))
+    out = tape.node(
+        "custom_broadcast", np.sum(parent.value + block), (parent,), lambda g: (g * block,)
+    )
+    tape.backward(out)
+    assert parent.grad.shape == shape
+    np.testing.assert_array_equal(parent.grad, block.sum(**reduce))
+
+
 def test_backward_rezeroes_buffers_between_calls():
     x = tape.leaf(np.array([2.0]))
     loss = tape.tsum(x * x)
