@@ -16,7 +16,7 @@ import sys
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import InputError, NumericError
-from .pipeline import SWEEP_PARAMS, ablate, evaluate, train_classifier, train_contrastive
+from .pipeline import SPLITS, SWEEP_PARAMS, ablate, evaluate, train_classifier, train_contrastive
 
 EXIT_OK = 0
 EXIT_SWEEP_PARTIAL = 1
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="write a metrics report for a trained classifier")
     common(p, checkpoint=True)
     p.add_argument("--out", required=True, help="output report path (JSON)")
-    p.add_argument("--split", choices=("train", "holdout"), default="holdout")
+    p.add_argument("--split", choices=SPLITS, default="holdout")
 
     p = sub.add_parser("ablate", help="two-stage sweep over one loss hyperparameter")
     common(p)

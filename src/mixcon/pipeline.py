@@ -64,6 +64,7 @@ from .optim import adam_step, init_adam, one_cycle_lr
 from .overlap import positive_pair_count
 
 SWEEP_PARAMS = ("tau", "alpha", "lambda", "measure")
+SPLITS = ("train", "holdout")
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows) -> None:
         header,
     ]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        # float() first: a np.float64 is a float whose repr names its type.
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -349,8 +351,8 @@ def _write_report(path: Path, cfg: ExperimentConfig, report: MetricsReport, *, s
 
 def evaluate(cfg: ExperimentConfig, classifier_checkpoint, out_path, split: str = "holdout") -> MetricsReport:
     """Inference at the configured threshold on either split; writes JSON."""
-    if split not in ("train", "holdout"):
-        raise InputError("split must be 'train' or 'holdout'")
+    if split not in SPLITS:
+        raise InputError(f"split must be one of {SPLITS}")
     ckpt = _load_matching_checkpoint(cfg, classifier_checkpoint, "classifier")
     features, labels, train_idx, hold_idx = dataset_split(cfg)
     idx = train_idx if split == "train" else hold_idx

@@ -38,6 +38,24 @@ class Mixture(NamedTuple):
     dim: int
 
 
+def single(mu=0.0, var=1.0, dim=1):
+    """One Gaussian of mean ``mu * ones(dim)`` and variance ``var``."""
+    return Mixture(np.array([1.0]), np.array([mu]), np.array([var]), dim)
+
+
+def random_mixture(rng, dim=None, max_components=5):
+    """A mixture of 1 to ``max_components`` components drawn from ``rng``,
+    in a random dimension from 1 to 8 unless ``dim`` is given."""
+    c = int(rng.integers(1, max_components + 1))
+    w = rng.uniform(0.2, 1.0, size=c)
+    return Mixture(
+        w / w.sum(),
+        rng.uniform(-5.0, 5.0, size=c),
+        rng.uniform(1.0, 4.0, size=c),
+        dim if dim is not None else int(rng.integers(1, 9)),
+    )
+
+
 def padded_blocks(mixtures):
     """(B, C) weight, mean and variance arrays of a mixture list.
 

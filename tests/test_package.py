@@ -229,3 +229,30 @@ def test_script_help_exits_cleanly(script):
     )
     assert done.returncode == 0, done.stderr
     assert "usage" in done.stdout.lower()
+
+
+@pytest.mark.parametrize("fault", ["malformed", "lambda-zero"])
+def test_directional_check_rejects_a_config_with_one_error_line(tmp_path, fault):
+    # Exit 2 and one error line, as mixcon does: a config that is not JSON,
+    # and one whose lambda equals the script's lambda-0 arm.
+    from mixcon.config import ExperimentConfig, save_config
+
+    path = tmp_path / "cfg.json"
+    if fault == "malformed":
+        path.write_text("{not json", encoding="utf-8")
+    else:
+        cfg = ExperimentConfig()
+        save_config(path, dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, lam=0.0)))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "directional_check.py"),
+         "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = [l for l in done.stderr.splitlines() if "error:" in l]
+    expected = "not valid JSON" if fault == "malformed" else "sweep value '0' for lambda is repeated"
+    assert line.startswith("directional_check.py: error: ") and expected in line
+    assert not (tmp_path / "out").exists()

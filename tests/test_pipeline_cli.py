@@ -338,6 +338,12 @@ class TestAblate:
         assert header == "param,value,map,cp,cr,cf1,op,or,of1,mean_positive_set_size,status"
         assert len(ok.split(",")) == len(failed.split(",")) == len(header.split(","))
 
+    def test_numpy_float_value_is_written_as_a_plain_float(self, tmp_path):
+        # np.float64 is a float whose numpy 2 repr is "np.float64(0.3)".
+        result = ablate(tiny_config(), "lambda", [np.float64(0.3), 0.0], tmp_path)
+        assert [r["value"] for r in read_csv_rows(result.table)] == ["0.3", "0.0"]
+        assert (tmp_path / "lambda=0.3").is_dir()
+
     def test_sweep_validation(self, tmp_path):
         cfg = tiny_config()
         with pytest.raises(InputError):

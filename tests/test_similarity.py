@@ -1,6 +1,6 @@
-"""The training kernels on single mixtures: the log density inside
-``nll_loss_t`` and the closed-form similarity ``similarity_matrix_t``,
-checked against quadrature and direct-summation oracles."""
+"""The closed-form mixture similarity ``similarity_matrix_t`` on pairs
+of single mixtures, checked against direct-summation and quadrature
+oracles."""
 
 import math
 
@@ -11,33 +11,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from mixcon import tape
-from mixcon.losses import nll_loss_t, similarity_matrix_t
+from mixcon.losses import similarity_matrix_t
 
 import reference
-from reference import Mixture
-
-
-def single(mu=0.0, var=1.0, dim=1):
-    return Mixture(np.array([1.0]), np.array([mu]), np.array([var]), dim)
-
-
-def random_mixture(rng, dim=None, max_components=5):
-    c = int(rng.integers(1, max_components + 1))
-    w = rng.uniform(0.2, 1.0, size=c)
-    return Mixture(
-        w / w.sum(),
-        rng.uniform(-5.0, 5.0, size=c),
-        rng.uniform(1.0, 4.0, size=c),
-        dim if dim is not None else int(rng.integers(1, 9)),
-    )
-
-
-def nll(gmm, points):
-    """nll_loss_t of ``gmm`` at every row of ``points`` (one row per batch entry)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    rows = len(points)
-    blocks = (np.tile(a, (rows, 1)) for a in (gmm.weights, gmm.means, gmm.variances))
-    return float(nll_loss_t(*map(tape.constant, blocks), tape.constant(points)).value)
+from reference import Mixture, random_mixture, single
 
 
 def similarity(p, q):
@@ -60,59 +37,6 @@ def quadrature_correlation(p, q, lo=-np.inf, hi=np.inf):
         return value
 
     return overlap(p, q) / math.sqrt(overlap(p, p) * overlap(q, q))
-
-
-# -- log density (nll_loss_t) ----------------------------------------------------
-
-
-def test_standard_normal_density_at_mean():
-    # Single component, mu=0, var=1, n=2: the density at the mean is 1/(2 pi).
-    assert nll(single(dim=2), np.zeros(2)) == pytest.approx(math.log(2.0 * math.pi), rel=1e-14)
-
-
-def test_weight_convexity_of_identical_components():
-    split = Mixture(np.array([0.5, 0.5]), np.zeros(2), np.ones(2), 2)
-    z = np.array([0.3, -0.7])
-    assert nll(split, z) == pytest.approx(nll(single(dim=2), z), rel=1e-14)
-
-
-def test_density_matches_direct_summation_reference():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        gmm = random_mixture(rng, dim=2, max_components=3)
-        z = rng.uniform(-6, 6, size=2)
-        expected = reference.naive_mixture_density(
-            gmm.weights, gmm.means, gmm.variances, gmm.dim, z
-        )
-        assert math.exp(-nll(gmm, z)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_log_density_finite_in_far_tail():
-    # The density itself underflows at z = 40; its log-sum-exp form does not.
-    out = nll(single(mu=0.0, var=1.0, dim=1), np.array([40.0]))
-    assert math.isfinite(out) and out > 700.0
-
-
-def test_density_positive_and_batched_evaluation_agrees():
-    rng = np.random.default_rng(11)
-    gmm = random_mixture(rng, dim=3)
-    pts = rng.uniform(-6, 6, size=(10, 3))
-    one_by_one = [nll(gmm, p) for p in pts]
-    assert all(math.exp(-value) > 0.0 for value in one_by_one)
-    assert nll(gmm, pts) == pytest.approx(math.fsum(one_by_one), rel=1e-12)
-
-
-def test_density_normalizes_under_quadrature():
-    rng = np.random.default_rng(61)
-    for _ in range(3):
-        gmm = random_mixture(rng, dim=1, max_components=3)
-        mass, _ = integrate.quad(
-            lambda t: math.exp(-nll(gmm, [t])), -np.inf, np.inf, limit=200
-        )
-        assert mass == pytest.approx(1.0, abs=1e-8)
-
-
-# -- closed-form similarity (similarity_matrix_t) --------------------------------
 
 
 def test_identical_mixtures_have_unit_correlation():
