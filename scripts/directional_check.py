@@ -3,9 +3,10 @@
 For each seed, runs ``pipeline.ablate`` over lambda from the config
 (default 0.3) and lambda 0, then prints per-seed holdout mAP and the paired
 mean difference.  A seed whose sweep has a failed row ends the script with
-exit status 1, naming the seed.  A config the package rejects, or one that
-cannot be read, ends it with exit status 2 and one ``error:`` line, as the
-``mixcon`` command does.
+exit status 1, naming the seed and why each failed value failed.  A config
+the package rejects, one that cannot be read, or a ``--seeds`` list that is
+not distinct integers ends it with exit status 2 and one ``error:`` line,
+as the ``mixcon`` command does.
 
 Usage: python scripts/directional_check.py [--config cfg.json] [--seeds 0,1,2,3,4]
 """
@@ -23,33 +24,43 @@ from mixcon.errors import InputError
 from mixcon.pipeline import ablate
 
 
+def seed_list(text):
+    """``--seeds``: comma-separated integers, none repeated, since a repeat
+    would count one seed twice in the paired mean."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed is repeated: {text!r}")
+    return seeds
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=None)
-    parser.add_argument("--seeds", default="0,1,2,3,4")
+    parser.add_argument("--seeds", type=seed_list, default="0,1,2,3,4")
     parser.add_argument("--out", default="runs/directional")
     args = parser.parse_args()
     try:
         base = load_config(args.config) if args.config else ExperimentConfig()
     except (InputError, OSError) as exc:
         parser.error(str(exc))
-    seeds = [int(s) for s in args.seeds.split(",")]
     with_pcl, without_pcl = [], []
-    for seed in seeds:
+    for seed in args.seeds:
         cfg = dataclasses.replace(base, seed=seed)
         try:
             sweep = ablate(cfg, "lambda", [repr(cfg.loss.lam), "0"], Path(args.out) / f"seed{seed}")
         except InputError as exc:
             parser.error(str(exc))
         if sweep.failed:
-            statuses = ", ".join(f"lambda={row[1]}: {row[-1]}" for row in sweep.rows)
-            sys.exit(f"seed {seed}: {statuses}")
+            sys.exit(f"seed {seed}: {'; '.join(sweep.failures)}")
         (_, _, m_on, *_), (_, _, m_off, *_) = sweep.rows
         with_pcl.append(m_on)
         without_pcl.append(m_off)
         print(f"seed {seed}: mAP with contrastive {m_on:.4f}, without {m_off:.4f}, diff {m_on - m_off:+.4f}")
-    mean_on = math.fsum(with_pcl) / len(seeds)
-    mean_off = math.fsum(without_pcl) / len(seeds)
+    mean_on = math.fsum(with_pcl) / len(args.seeds)
+    mean_off = math.fsum(without_pcl) / len(args.seeds)
     print(f"mean with {mean_on:.4f}  mean without {mean_off:.4f}  margin {mean_on - mean_off:+.4f}")
 
 

@@ -96,6 +96,8 @@ def _run(args) -> int:
     if args.command == "ablate":
         values = [v for v in (s.strip() for s in args.values.split(",")) if v]
         result = ablate(cfg, args.param, values, args.out)
+        for failure in result.failures:
+            print(failure, file=sys.stderr)
         status = "with failures" if result.failed else "ok"
         print(f"sweep {status}: {result.table}")
         return EXIT_SWEEP_PARTIAL if result.failed else EXIT_OK

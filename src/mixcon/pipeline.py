@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,7 +88,11 @@ class ClassifierResult:
 class SweepResult:
     table: Path
     rows: tuple
-    failed: bool
+    failures: tuple[str, ...]  # one "param=value: Type: message" per failed value
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failures)
 
 
 def dataset_split(cfg: ExperimentConfig):
@@ -376,11 +381,34 @@ def _sweep_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
     return dataclasses.replace(cfg, loss=loss)
 
 
+def _sweep_value(param: str, out: Path, train_labels, value, run_cfg: ExperimentConfig):
+    """One sweep value's two-stage run into ``out/param=value``.
+
+    Returns its CSV row and, for a value that failed, the message saying
+    why; the failure types the CLI maps to an exit code become a
+    ``failed:<Type>`` row, anything else propagates.
+    """
+    sub = out / f"{param}={value}"
+    try:
+        stage_one = train_contrastive(run_cfg, sub)
+        stage_two = train_classifier(run_cfg, stage_one.checkpoint, sub)
+        positives = positive_pair_count(train_labels, run_cfg.loss.measure, run_cfg.loss.alpha)
+        metrics = (*stage_two.report.headline().values(), positives / len(train_labels))
+        return (param, value, *metrics, "ok"), None
+    except (InputError, NumericError, OSError) as exc:
+        name = type(exc).__name__
+        blanks = [""] * (len(HEADLINE) + 1)
+        return (param, value, *blanks, f"failed:{name}"), f"{param}={value}: {name}: {exc}"
+
+
 def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     """Full two-stage run per value with shared seeds; one CSV row each.
 
-    A failing value marks its row "failed" and the sweep continues; the
-    caller turns ``failed`` into a nonzero exit at the end.
+    Every value is checked before any output exists.  The values then run
+    in forked processes, one per usable CPU at most, and the rows come
+    back in value order; outputs are the same bytes as a run in this
+    process.  A failing value marks its row "failed" and the sweep
+    continues; the caller turns ``failed`` into a nonzero exit at the end.
     """
     if param not in SWEEP_PARAMS:
         raise InputError(f"param must be one of {SWEEP_PARAMS}")
@@ -397,23 +425,28 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     _, labels, train_idx, _ = dataset_split(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failed = False
-    for value, run_cfg in zip(values, run_cfgs):
-        sub = out / f"{param}={value}"
-        try:
-            stage_one = train_contrastive(run_cfg, sub)
-            stage_two = train_classifier(run_cfg, stage_one.checkpoint, sub)
-            positives = positive_pair_count(
-                labels[train_idx], run_cfg.loss.measure, run_cfg.loss.alpha
-            )
-            metrics = (*stage_two.report.headline().values(), positives / len(train_idx))
-            rows.append((param, value, *metrics, "ok"))
-        except (InputError, NumericError, OSError) as exc:
-            failed = True
-            blanks = [""] * (len(HEADLINE) + 1)
-            rows.append((param, value, *blanks, f"failed:{type(exc).__name__}"))
+    # Imported here: at module level they would add to every import of
+    # the package, which most commands never repay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    # fork, not the platform default: a forkserver or spawn child would
+    # import numpy and the package again for every pool.  The pool forks
+    # its children before it starts its own manager thread, and OpenBLAS
+    # shuts its thread pool down before a fork.
+    with ProcessPoolExecutor(
+        max_workers=min(len(values), cpus), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        run_value = functools.partial(_sweep_value, param, out, labels[train_idx])
+        results = list(pool.map(run_value, values, run_cfgs))
+    rows = tuple(row for row, _ in results)
     table = out / "sweep.csv"
     header = ("param", "value", *HEADLINE, "mean_positive_set_size", "status")
     _write_csv(table, cfg, ",".join(header), rows)
-    return SweepResult(table=table, rows=tuple(rows), failed=failed)
+    return SweepResult(
+        table=table, rows=rows, failures=tuple(message for _, message in results if message)
+    )

@@ -8,7 +8,7 @@ transcription, the metrics against a naive reference, and the asymmetric
 loss against its degenerate forms.  The directional criteria run the
 full two-stage pipeline on the synthetic benchmark with the contrastive
 term on and off across paired seeds, then replay one seed for bit-level
-determinism.
+determinism across processes.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from mixcon.losses import asl_loss_t, nll_loss_t, pcl_loss_t, similarity_matrix_
 from mixcon.metrics import PredictionSet, average_precision, pr_f1_report
 from mixcon.model import encoder_forward_t, init_params, mdn_forward_t, params_to_tensors
 from mixcon.overlap import overlap_matrix, positive_mask
-from mixcon.pipeline import train_classifier, train_contrastive
+from mixcon.pipeline import ablate, train_classifier, train_contrastive
 from mixcon import tape
 
 from reference import (
@@ -294,21 +294,24 @@ def directional_config(seed: int, lam: float) -> ExperimentConfig:
 
 @pytest.fixture(scope="module")
 def directional_runs(tmp_path_factory):
+    # Each seed's two arms run as one sweep, in processes of their own;
+    # "0.3" and "0" give the configs directional_config(seed, lam) builds.
     root = tmp_path_factory.mktemp("directional")
     start = time.monotonic()
     results = {}
     for seed in DIRECTIONAL_SEEDS:
-        for lam in (0.3, 0.0):
-            cfg = directional_config(seed, lam)
-            out = root / f"seed{seed}_lam{lam}"
-            stage_one = train_contrastive(cfg, out)
-            stage_two = train_classifier(cfg, stage_one.checkpoint, out)
+        sweep = ablate(directional_config(seed, 0.3), "lambda", ["0.3", "0"], root / f"seed{seed}")
+        assert not sweep.failed, f"seed {seed}: {sweep.rows}"
+        for lam, (_, value, map_, *_) in zip((0.3, 0.0), sweep.rows):
+            sub = root / f"seed{seed}" / f"lambda={value}"
             results[(seed, lam)] = {
-                "out": out,
-                "map": stage_two.report.map,
-                "artifacts": (
-                    stage_one.checkpoint, stage_one.curve,
-                    stage_two.checkpoint, stage_two.curve, stage_two.report_path,
+                "map": map_,
+                "artifacts": tuple(
+                    sub / name
+                    for name in (
+                        "contrastive.ckpt", "contrastive_loss.csv",
+                        "classifier.ckpt", "classifier_loss.csv", "holdout_metrics.json",
+                    )
                 ),
             }
     results["elapsed"] = time.monotonic() - start

@@ -215,6 +215,24 @@ def test_import_loads_no_test_dependency():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # ablate imports these itself; at import time they would only add to
+    # every command's start-up.
+    probe = (
+        "import sys, mixcon.pipeline, mixcon.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_scripts_exist():
     assert SCRIPTS
 
@@ -256,3 +274,59 @@ def test_directional_check_rejects_a_config_with_one_error_line(tmp_path, fault)
     expected = "not valid JSON" if fault == "malformed" else "sweep value '0' for lambda is repeated"
     assert line.startswith("directional_check.py: error: ") and expected in line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "seeds, expected",
+    [
+        ("a", "not a comma-separated list of integers: 'a'"),
+        ("0,,1", "not a comma-separated list of integers: '0,,1'"),
+        ("0,0", "a seed is repeated: '0,0'"),
+    ],
+    ids=["not-a-number", "empty-entry", "repeated"],
+)
+def test_directional_check_rejects_bad_seeds_with_one_error_line(tmp_path, seeds, expected):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "directional_check.py"),
+         "--seeds", seeds, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = [l for l in done.stderr.splitlines() if "error:" in l]
+    assert line == f"directional_check.py: error: argument --seeds: {expected}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_directional_check_says_why_a_value_failed(tmp_path):
+    # At this lambda the first stage-one step overflows; the lambda-0 arm
+    # trains, and the exit line names the failed value and its reason.
+    from mixcon.config import (
+        ContrastiveLossConfig, DataConfig, ExperimentConfig, ModelConfig, OptimConfig, save_config,
+    )
+
+    cfg = ExperimentConfig(
+        data=DataConfig(num_samples=120, num_classes=3, input_dim=10),
+        model=ModelConfig(
+            input_dim=10, encoder_hidden=(16,), embed_dim=8,
+            mixture_dim=2, num_classes=3, mdn_hidden=(16, 8),
+        ),
+        optim=OptimConfig(batch_size=30, contrastive_epochs=2, classifier_epochs=2),
+        loss=ContrastiveLossConfig(lam=1e308),
+    )
+    path = tmp_path / "cfg.json"
+    save_config(path, cfg)
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning",
+         str(ROOT / "scripts" / "directional_check.py"),
+         "--config", str(path), "--seeds", "0", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.splitlines() == [
+        "seed 0: lambda=1e+308: NumericError: loss is non-finite (total objective, epoch 0, step 0)"
+    ]

@@ -8,6 +8,8 @@ import ctypes
 import dataclasses
 import gc
 import json
+import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
@@ -337,12 +339,59 @@ class TestAblate:
         )
         assert header == "param,value,map,cp,cr,cf1,op,or,of1,mean_positive_set_size,status"
         assert len(ok.split(",")) == len(failed.split(",")) == len(header.split(","))
+        # The failed value says why, with the objective, epoch and step.
+        [message] = result.failures
+        assert message.startswith("lambda=1e+308: NumericError: ")
+        assert "(total objective, epoch 0, step 0)" in message
 
     def test_numpy_float_value_is_written_as_a_plain_float(self, tmp_path):
         # np.float64 is a float whose numpy 2 repr is "np.float64(0.3)".
         result = ablate(tiny_config(), "lambda", [np.float64(0.3), 0.0], tmp_path)
         assert [r["value"] for r in read_csv_rows(result.table)] == ["0.3", "0.0"]
         assert (tmp_path / "lambda=0.3").is_dir()
+
+    def test_each_value_writes_the_bytes_of_an_in_process_run(self, tmp_path):
+        cfg = tiny_config()
+        result = ablate(cfg, "lambda", ["0.3", "0"], tmp_path / "sweep")
+        assert not result.failed, result.rows
+        names = (
+            "contrastive.ckpt", "contrastive_loss.csv",
+            "classifier.ckpt", "classifier_loss.csv", "holdout_metrics.json",
+        )
+        for value, lam in (("0.3", 0.3), ("0", 0.0)):
+            run_cfg = dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, lam=lam))
+            here = tmp_path / f"here{value}"
+            stage_one = train_contrastive(run_cfg, here)
+            train_classifier(run_cfg, stage_one.checkpoint, here)
+            swept = tmp_path / "sweep" / f"lambda={value}"
+            assert sorted(p.name for p in swept.iterdir()) == sorted(names)
+            for name in names:
+                assert (swept / name).read_bytes() == (here / name).read_bytes(), (value, name)
+
+    def test_every_value_runs_in_a_process_of_its_own(self, tmp_path, monkeypatch):
+        # The forked children inherit the patched module attribute.
+        train = pipeline.train_contrastive
+
+        def recording_train(cfg, out_dir):
+            result = train(cfg, out_dir)
+            (Path(out_dir) / "pid").write_text(str(os.getpid()))
+            return result
+
+        monkeypatch.setattr(pipeline, "train_contrastive", recording_train)
+        ablate(tiny_config(), "alpha", [0.1, 0.5, 0.9], tmp_path)
+        pids = [int((tmp_path / f"alpha={v}" / "pid").read_text()) for v in (0.1, 0.5, 0.9)]
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_an_unexpected_error_in_a_value_keeps_its_type(self, tmp_path, monkeypatch):
+        def broken_stage_two(cfg, checkpoint, out_dir):
+            raise RuntimeError("stage two broke")
+
+        monkeypatch.setattr(pipeline, "train_classifier", broken_stage_two)
+        with pytest.raises(RuntimeError, match="stage two broke"):
+            ablate(tiny_config(), "lambda", [0.3, 0.0], tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_validation(self, tmp_path):
         cfg = tiny_config()
@@ -453,6 +502,19 @@ class TestCli:
             "--checkpoint", str(out / "contrastive.ckpt"), "--out", str(out),
         ]) == 2
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_sweep_value_says_why_on_stderr(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", "lambda",
+            "--values", "0.3,1e308", "--out", str(tmp_path / "sweep"),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "lambda=1e308: NumericError: loss is non-finite (total objective, epoch 0, step 0)"
+        ]
 
     def test_non_numeric_sweep_value_is_a_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
