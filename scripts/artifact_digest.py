@@ -9,7 +9,7 @@ with paths relative to --out and sorted.  Two checkouts that print the same
 lines wrote byte-identical artifacts, so a change meant not to move the
 math can be checked by running this at both and comparing the output.
 
-Usage: python scripts/artifact_digest.py --out DIR   (DIR must be empty or absent)
+Usage: python scripts/artifact_digest.py --out DIR   (DIR must be an empty directory or absent)
 """
 
 import argparse
@@ -52,8 +52,8 @@ def main():
     parser.add_argument("--out", required=True, help="output directory, empty or absent")
     args = parser.parse_args()
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()):
-        parser.error(f"{out} is not empty")
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        parser.error(f"{out} is not an empty directory")
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
     save_config(cfg_path, CONFIG)

@@ -94,7 +94,7 @@ def _run(args) -> int:
         print(f"{args.split} mAP {report.map:.4f}; report {args.out}")
         return EXIT_OK
     if args.command == "ablate":
-        values = [v for v in (s.strip() for s in args.values.split(",")) if v]
+        values = [s.strip() for s in args.values.split(",")]
         result = ablate(cfg, args.param, values, args.out)
         for failure in result.failures:
             print(failure, file=sys.stderr)

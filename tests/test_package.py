@@ -1,7 +1,8 @@
-"""Stale-import guard: the public namespace and every script still load,
-importing the package pulls in no test-only dependency, no public
-function or class exists only for the tests, and no config field exists
-only to be validated."""
+"""Stale-import guard: the package root holds only its docstring, so each
+public name has one import path and importing a module loads only what
+that module imports; every script still loads, importing the package
+pulls in no test-only dependency, no public function or class exists only
+for the tests, and no config field exists only to be validated."""
 
 import ast
 import dataclasses
@@ -12,11 +13,9 @@ from pathlib import Path
 
 import pytest
 
-import mixcon
-
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-MODULES = sorted(p for p in (ROOT / "src" / "mixcon").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "mixcon").glob("*.py"))
 
 
 def unreferenced_public_definitions(paths):
@@ -69,14 +68,33 @@ def attributes_read_outside_validation(paths):
     return read
 
 
-def test_every_public_name_resolves():
-    missing = [name for name in mixcon.__all__ if not hasattr(mixcon, name)]
-    assert missing == []
-    assert len(set(mixcon.__all__)) == len(mixcon.__all__)
+def run_probe(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports the sources."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_package_root_holds_only_its_docstring():
+    # A name re-exported at the root would have two import paths, and an
+    # import there would load its module on every import of the package.
+    tree = ast.parse((ROOT / "src" / "mixcon" / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    probe = "import sys, mixcon.tape; print(sorted(m for m in sys.modules if m.startswith('mixcon')))"
+    assert run_probe(probe) == "['mixcon', 'mixcon.errors', 'mixcon.tape']"
 
 
 def test_every_public_definition_serves_the_program():
-    # __init__.py only re-exports, so an import there is not a use.
     assert MODULES
     assert unreferenced_public_definitions(MODULES + SCRIPTS) == []
 
@@ -199,20 +217,10 @@ def test_import_loads_no_test_dependency():
     # numpy is the only runtime dependency; scipy, hypothesis and pytest
     # serve the tests alone.
     probe = (
-        "import sys, mixcon; "
+        "import sys, mixcon.pipeline, mixcon.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))"
     )
-    src = str(ROOT / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
 
 
 def test_import_loads_no_process_pool():
@@ -222,15 +230,7 @@ def test_import_loads_no_process_pool():
         "import sys, mixcon.pipeline, mixcon.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
 
 
 def test_scripts_exist():
@@ -274,6 +274,37 @@ def test_directional_check_rejects_a_config_with_one_error_line(tmp_path, fault)
     expected = "not valid JSON" if fault == "malformed" else "sweep value '0' for lambda is repeated"
     assert line.startswith("directional_check.py: error: ") and expected in line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault", ["out-is-a-file", "overflowing-dataset"])
+def test_directional_check_reports_a_fault_with_one_line_and_its_exit_code(tmp_path, fault):
+    # Exit 3 and 4 as mixcon does, not the traceback and exit 1 of a
+    # failed seed: an --out that is a file, and a dataset whose features
+    # overflow float64.
+    from mixcon.cli import EXIT_IO, EXIT_NUMERIC
+    from mixcon.config import DataConfig, ExperimentConfig, save_config
+
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if fault == "out-is-a-file":
+        save_config(path, ExperimentConfig())
+        out.write_text("", encoding="utf-8")
+        code, expected = EXIT_IO, "i/o error: "
+    else:
+        save_config(path, ExperimentConfig(data=DataConfig(noise_scale=1e308)))
+        code, expected = EXIT_NUMERIC, "numeric error: non-finite feature vector"
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning",
+         str(ROOT / "scripts" / "directional_check.py"),
+         "--config", str(path), "--seeds", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"directional_check.py: {expected}")
+    assert out.is_file() if fault == "out-is-a-file" else not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -330,3 +361,18 @@ def test_directional_check_says_why_a_value_failed(tmp_path):
     assert done.stderr.splitlines() == [
         "seed 0: lambda=1e+308: NumericError: loss is non-finite (total objective, epoch 0, step 0)"
     ]
+
+
+def test_artifact_digest_rejects_an_out_that_is_a_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = [l for l in done.stderr.splitlines() if "error:" in l]
+    assert line == f"artifact_digest.py: error: {out} is not an empty directory"

@@ -527,6 +527,26 @@ class TestCli:
         assert "abc" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "param, values, expected",
+        [
+            ("lambda", "0,,0.3,", "sweep value '' for lambda is not a number"),
+            ("measure", "jaccard,,cosine", "unknown overlap measure ''"),
+        ],
+        ids=["lambda", "measure"],
+    )
+    def test_empty_sweep_value_is_a_config_error(self, tmp_path, capsys, param, values, expected):
+        # An empty item is a typo, not a value to skip.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_config())
+        out = tmp_path / "sweep"
+        assert main([
+            "ablate", "--config", str(cfg_path), "--param", param,
+            "--values", values, "--out", str(out),
+        ]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_sweep_value_is_a_config_error(self, tmp_path, capsys):
         # Both runs would write into the one directory lambda=0.3/.
         cfg_path = tmp_path / "cfg.json"
