@@ -9,6 +9,10 @@ with paths relative to --out and sorted.  Two checkouts that print the same
 lines wrote byte-identical artifacts, so a change meant not to move the
 math can be checked by running this at both and comparing the output.
 
+A failed command ends the script with that command's exit code, and a
+file that cannot be written (an ``--out`` under a regular file, say) with
+exit status 3 and one ``i/o error:`` line, as the ``mixcon`` command does.
+
 Usage: python scripts/artifact_digest.py --out DIR   (DIR must be an empty directory or absent)
 """
 
@@ -20,6 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mixcon.cli import EXIT_OK, exit_code_of
 from mixcon.cli import main as mixcon
 from mixcon.config import DataConfig, ExperimentConfig, OptimConfig, save_config
 
@@ -47,13 +52,7 @@ def commands(cfg_path: Path, out: Path) -> list[list[str]]:
     ]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", required=True, help="output directory, empty or absent")
-    args = parser.parse_args()
-    out = Path(args.out)
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
-        parser.error(f"{out} is not an empty directory")
+def digest(out: Path, prog: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
     save_config(cfg_path, CONFIG)
@@ -61,11 +60,23 @@ def main():
         # The commands' progress lines go to stderr; stdout holds digests only.
         with contextlib.redirect_stdout(sys.stderr):
             code = mixcon(argv)
-        if code != 0:
-            sys.exit(f"mixcon {argv[0]} exited with code {code}")
+        if code != EXIT_OK:
+            print(f"{prog}: mixcon {argv[0]} exited with code {code}", file=sys.stderr)
+            return code
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{sha}  {path.relative_to(out).as_posix()}")
+    return EXIT_OK
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", required=True, help="output directory, empty or absent")
+    args = parser.parse_args()
+    out = Path(args.out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        parser.error(f"{out} is not an empty directory")
+    sys.exit(exit_code_of(lambda: digest(out, parser.prog), parser.prog))
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ For each seed, runs ``pipeline.ablate`` over lambda from the config
 (default 0.3) and lambda 0, then prints per-seed holdout mAP and the paired
 mean difference.  A seed whose sweep has a failed row ends the script with
 exit status 1, naming the seed and why each failed value failed.  As the
-``mixcon`` command does, a config the package rejects or a ``--seeds`` list
-that is not distinct integers ends it with exit status 2 and one ``error:``
-line, a file that cannot be read or written (a missing config, an ``--out``
-that is a file) with exit status 3 and one ``i/o error:`` line, and a drawn
-dataset that overflows with exit status 4 and one ``numeric error:`` line.
+``mixcon`` command does (both map failures with ``cli.exit_code_of``), a
+config the package rejects or a ``--seeds`` list that is not distinct
+integers ends it with exit status 2 and one ``error:`` line, a file that
+cannot be read or written (a missing config, an ``--out`` that is a file)
+with exit status 3 and one ``i/o error:`` line, and a drawn dataset that
+overflows with exit status 4 and one ``numeric error:`` line.
 
 Usage: python scripts/directional_check.py [--config cfg.json] [--seeds 0,1,2,3,4]
 """
@@ -21,9 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mixcon.cli import EXIT_IO, EXIT_NUMERIC
+from mixcon.cli import EXIT_OK, exit_code_of
 from mixcon.config import ExperimentConfig, load_config
-from mixcon.errors import InputError, NumericError
 from mixcon.pipeline import ablate
 
 
@@ -39,33 +39,31 @@ def seed_list(text):
     return seeds
 
 
+def compare(args):
+    base = load_config(args.config) if args.config else ExperimentConfig()
+    with_pcl, without_pcl = [], []
+    for seed in args.seeds:
+        cfg = dataclasses.replace(base, seed=seed)
+        sweep = ablate(cfg, "lambda", [repr(cfg.loss.lam), "0"], Path(args.out) / f"seed{seed}")
+        if sweep.failed:
+            sys.exit(f"seed {seed}: {'; '.join(sweep.failures)}")
+        (_, _, m_on, *_), (_, _, m_off, *_) = sweep.rows
+        with_pcl.append(m_on)
+        without_pcl.append(m_off)
+        print(f"seed {seed}: mAP with contrastive {m_on:.4f}, without {m_off:.4f}, diff {m_on - m_off:+.4f}")
+    mean_on = math.fsum(with_pcl) / len(args.seeds)
+    mean_off = math.fsum(without_pcl) / len(args.seeds)
+    print(f"mean with {mean_on:.4f}  mean without {mean_off:.4f}  margin {mean_on - mean_off:+.4f}")
+    return EXIT_OK
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=None)
     parser.add_argument("--seeds", type=seed_list, default="0,1,2,3,4")
     parser.add_argument("--out", default="runs/directional")
     args = parser.parse_args()
-    with_pcl, without_pcl = [], []
-    try:
-        base = load_config(args.config) if args.config else ExperimentConfig()
-        for seed in args.seeds:
-            cfg = dataclasses.replace(base, seed=seed)
-            sweep = ablate(cfg, "lambda", [repr(cfg.loss.lam), "0"], Path(args.out) / f"seed{seed}")
-            if sweep.failed:
-                sys.exit(f"seed {seed}: {'; '.join(sweep.failures)}")
-            (_, _, m_on, *_), (_, _, m_off, *_) = sweep.rows
-            with_pcl.append(m_on)
-            without_pcl.append(m_off)
-            print(f"seed {seed}: mAP with contrastive {m_on:.4f}, without {m_off:.4f}, diff {m_on - m_off:+.4f}")
-    except InputError as exc:
-        parser.error(str(exc))
-    except OSError as exc:
-        parser.exit(EXIT_IO, f"{parser.prog}: i/o error: {exc}\n")
-    except NumericError as exc:
-        parser.exit(EXIT_NUMERIC, f"{parser.prog}: numeric error: {exc}\n")
-    mean_on = math.fsum(with_pcl) / len(args.seeds)
-    mean_off = math.fsum(without_pcl) / len(args.seeds)
-    print(f"mean with {mean_on:.4f}  mean without {mean_off:.4f}  margin {mean_on - mean_off:+.4f}")
+    sys.exit(exit_code_of(lambda: compare(args), parser.prog))
 
 
 if __name__ == "__main__":

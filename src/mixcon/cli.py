@@ -1,6 +1,7 @@
 """Command-line entry points for the two-stage pipeline.
 
-Exit codes:
+Exit codes, which the scripts under ``scripts/`` share through
+:func:`exit_code_of`:
   0  success
   1  ablation sweep finished but at least one value failed
   2  configuration or argument problem (also used by argparse itself)
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Callable
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import InputError, NumericError
@@ -93,30 +95,38 @@ def _run(args) -> int:
         report = evaluate(cfg, args.checkpoint, args.out, split=args.split)
         print(f"{args.split} mAP {report.map:.4f}; report {args.out}")
         return EXIT_OK
-    if args.command == "ablate":
-        values = [s.strip() for s in args.values.split(",")]
-        result = ablate(cfg, args.param, values, args.out)
-        for failure in result.failures:
-            print(failure, file=sys.stderr)
-        status = "with failures" if result.failed else "ok"
-        print(f"sweep {status}: {result.table}")
-        return EXIT_SWEEP_PARTIAL if result.failed else EXIT_OK
-    raise InputError(f"unknown command {args.command!r}")
+    # ablate: argparse's required subparsers admit no other command.
+    values = [s.strip() for s in args.values.split(",")]
+    result = ablate(cfg, args.param, values, args.out)
+    for failure in result.failures:
+        print(failure, file=sys.stderr)
+    status = "with failures" if result.failed else "ok"
+    print(f"sweep {status}: {result.table}")
+    return EXIT_SWEEP_PARTIAL if result.failed else EXIT_OK
+
+
+def exit_code_of(body: Callable[[], int], prog: str | None = None) -> int:
+    """Run ``body`` and return its exit code.  A package failure becomes one
+    stderr line, prefixed with ``prog`` when one is given, and the exit
+    code of its family: :class:`InputError` 2, :class:`OSError` 3 and
+    :class:`NumericError` 4."""
+    prefix = f"{prog}: " if prog else ""
+    try:
+        return body()
+    except InputError as exc:
+        print(f"{prefix}error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"{prefix}i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except NumericError as exc:
+        print(f"{prefix}numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return exit_code_of(lambda: _run(args))
 
 
 if __name__ == "__main__":

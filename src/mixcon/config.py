@@ -84,6 +84,11 @@ class DataConfig(_Checked):
     noise_scale: float = _bounded(0.25, "[0, inf)")
     holdout_frac: float = _bounded(0.25, "(0, 1)")
 
+    def holdout_size(self) -> int:
+        """Samples held out of training: ``num_samples * holdout_frac``
+        rounded to the nearest integer (halves to even)."""
+        return int(round(self.num_samples * self.holdout_frac))
+
 
 @dataclass(frozen=True)
 class ModelConfig(_Checked):
@@ -161,7 +166,7 @@ class ExperimentConfig(_Checked):
             raise InputError("model.input_dim must equal data.input_dim")
         if self.model.num_classes != self.data.num_classes:
             raise InputError("model.num_classes must equal data.num_classes")
-        holdout = int(round(self.data.num_samples * self.data.holdout_frac))
+        holdout = self.data.holdout_size()
         if holdout < 1 or self.data.num_samples - holdout < self.optim.batch_size:
             raise InputError("split leaves too few samples for one training batch")
 

@@ -33,13 +33,11 @@ def overlap_matrix(labels, measure: str) -> np.ndarray:
     stack = stack.astype(np.int64)
     gram = (stack @ stack.T).astype(np.float64)
     norms = np.diag(gram).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if measure == "jaccard":
-            denom = norms[:, None] + norms[None, :] - gram
-        else:
-            denom = np.sqrt(norms[:, None] * norms[None, :])
-        out = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+    if measure == "jaccard":
+        denom = norms[:, None] + norms[None, :] - gram
+    else:
+        denom = np.sqrt(norms[:, None] * norms[None, :])
+    return np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 def positive_mask(overlap: np.ndarray, alpha: float) -> np.ndarray:

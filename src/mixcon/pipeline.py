@@ -100,7 +100,7 @@ def dataset_split(cfg: ExperimentConfig):
     features, labels = generate_synthetic(cfg.data, cfg.seed)
     rng = np.random.default_rng(splitmix64(cfg.seed, STREAM_SPLIT))
     perm = rng.permutation(cfg.data.num_samples)
-    holdout = int(round(cfg.data.num_samples * cfg.data.holdout_frac))
+    holdout = cfg.data.holdout_size()
     hold_idx = np.sort(perm[:holdout])
     train_idx = np.sort(perm[holdout:])
     return features, labels, train_idx, hold_idx

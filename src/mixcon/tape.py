@@ -107,18 +107,15 @@ def node(op: str, value, parents: tuple[Tensor, ...], backward_fn: _BackwardFn) 
     maps the gradient of ``value`` to a tuple with one entry per parent,
     in order: that parent's gradient, an array (a numpy scalar counts)
     shaped like the parent's value, or like ``value`` where the op
-    broadcast the parent.  The reverse pass alone routes, sums and checks
-    these entries: :func:`backward` skips the entry of every parent that
-    needs no gradient, sums one shaped unlike its parent back over the
-    axes numpy broadcast, and raises :class:`NumericError` naming ``op``
-    for a non-finite one that reaches a leaf.  So a fused op returns a
-    gradient for every parent; only ``sub``'s second operand, ``mul``,
-    ``div``, ``where`` and ``matmul``, whose constant operands (max
-    shifts, scalars, the encoder's input) occur in every step, put None
-    there to skip the arithmetic.  ``backward_fn`` must be a pure function
-    of the gradient it is given, which it must not modify: a failed pass
-    is repeated to find that op.  When no parent needs a gradient the
-    result is a constant and ``backward_fn`` is dropped.
+    broadcast the parent.  Every op returns a gradient for every parent,
+    and the reverse pass alone routes, sums and checks these entries:
+    :func:`backward` skips the entry of every parent that needs no
+    gradient, sums one shaped unlike its parent back over the axes numpy
+    broadcast, and raises :class:`NumericError` naming ``op`` for a
+    non-finite one that reaches a leaf.  ``backward_fn`` must be a pure
+    function of the gradient it is given, which it must not modify: a
+    failed pass is repeated to find that op.  When no parent needs a
+    gradient the result is a constant and ``backward_fn`` is dropped.
     """
     needs = any(p.requires_grad for p in parents)
     return Tensor(
@@ -151,33 +148,19 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.value - b.value
-    return node("sub", out, (a, b), lambda g: (g, -g if b.requires_grad else None))
+    return node("sub", out, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.value * b.value
-
-    def bw(g):
-        return (
-            g * b.value if a.requires_grad else None,
-            g * a.value if b.requires_grad else None,
-        )
-
-    return node("mul", out, (a, b), bw)
+    return node("mul", out, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.value / b.value
-
-    def bw(g):
-        return (
-            g / b.value if a.requires_grad else None,
-            -g * a.value / (b.value * b.value) if b.requires_grad else None,
-        )
-
-    return node("div", out, (a, b), bw)
+    return node("div", out, (a, b), lambda g: (g / b.value, -g * a.value / (b.value * b.value)))
 
 
 # -- elementwise unary ops ----------------------------------------------
@@ -231,14 +214,7 @@ def where(condition, a, b) -> Tensor:
     cond = np.asarray(condition, dtype=bool)
     a, b = _as_tensor(a), _as_tensor(b)
     out = np.where(cond, a.value, b.value)
-
-    def bw(g):
-        return (
-            np.where(cond, g, 0.0) if a.requires_grad else None,
-            np.where(cond, 0.0, g) if b.requires_grad else None,
-        )
-
-    return node("where", out, (a, b), bw)
+    return node("where", out, (a, b), lambda g: (np.where(cond, g, 0.0), np.where(cond, 0.0, g)))
 
 
 # -- shape ops -----------------------------------------------------------
@@ -268,14 +244,7 @@ def matmul(a, b) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise InputError("matmul expects two rank-2 arrays")
     out = a.value @ b.value
-
-    def bw(g):
-        return (
-            g @ b.value.T if a.requires_grad else None,
-            a.value.T @ g if b.requires_grad else None,
-        )
-
-    return node("matmul", out, (a, b), bw)
+    return node("matmul", out, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 # -- composed numerically stable reductions ------------------------------

@@ -182,20 +182,31 @@ def test_similarity_op_makes_no_blas_call():
     assert found == []
 
 
+def requires_grad_readers(path):
+    """``file:function`` for each read of ``.requires_grad`` in ``path``,
+    named by the innermost enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+                and isinstance(node.ctx, ast.Load)):
+            found.append(f"{path.name}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
 def test_fused_ops_leave_gradient_routing_to_the_reverse_pass():
-    # A fused op returns a gradient for every parent, and the reverse pass
-    # alone skips a parent that needs none (see tape.node).
-    tree = ast.parse((ROOT / "src" / "mixcon" / "losses.py").read_text(encoding="utf-8"))
-    fused = ("similarity_matrix_t", "asl_loss_t")
-    ops = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in fused]
-    assert sorted(op.name for op in ops) == sorted(fused)
-    found = [
-        f"{op.name}:{node.lineno}"
-        for op in ops
-        for node in ast.walk(op)
-        if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
-    ]
-    assert found == []
+    # Every op, primitive or fused, returns a gradient for every parent:
+    # only tape.node, which marks a result that needs a gradient, and the
+    # reverse pass, which skips a parent that needs none, ask whether a
+    # tensor needs one (see tape.node).
+    readers = sorted({reader for path in MODULES for reader in requires_grad_readers(path)})
+    assert readers == ["tape.py:_walk", "tape.py:node"]
 
 
 def test_only_the_reverse_pass_sums_broadcast_gradients():
@@ -376,3 +387,18 @@ def test_artifact_digest_rejects_an_out_that_is_a_file(tmp_path):
     assert "Traceback" not in done.stderr
     [line] = [l for l in done.stderr.splitlines() if "error:" in l]
     assert line == f"artifact_digest.py: error: {out} is not an empty directory"
+
+
+def test_artifact_digest_reports_an_unwritable_out_with_one_line(tmp_path):
+    # Exit 3 and one i/o error line, as mixcon does, not a traceback.
+    parent = tmp_path / "file"
+    parent.write_text("", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), "--out", str(parent / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("artifact_digest.py: i/o error: ")

@@ -504,6 +504,24 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("family", ["config", "io", "numeric"])
+    def test_failure_is_one_stderr_line_and_its_exit_code(self, tmp_path, capsys, family):
+        cfg_path = tmp_path / "cfg.json"
+        if family == "config":
+            cfg_path.write_text("{broken")
+            code = 2
+            line = ("error: config is not valid JSON: Expecting property name enclosed "
+                    "in double quotes: line 1 column 2 (char 1)")
+        elif family == "io":
+            code, line = 3, f"i/o error: [Errno 2] No such file or directory: '{cfg_path}'"
+        else:
+            save_config(cfg_path, dataclasses.replace(tiny_config(), loss=ContrastiveLossConfig(lam=1e308)))
+            code, line = 4, "numeric error: loss is non-finite (total objective, epoch 0, step 0)"
+        out = tmp_path / "run"
+        assert main(["train-contrastive", "--config", str(cfg_path), "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_failed_sweep_value_says_why_on_stderr(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         save_config(cfg_path, tiny_config())

@@ -118,6 +118,23 @@ def test_constant_branch_gets_no_gradient():
     assert c.grad is None and x.grad is not None
 
 
+@pytest.mark.parametrize(
+    "op",
+    [tape.add, tape.sub, tape.mul, tape.div, tape.matmul,
+     lambda a, b: tape.where(np.array([[True, False], [False, True]]), a, b)],
+    ids=["add", "sub", "mul", "div", "matmul", "where"],
+)
+@pytest.mark.parametrize("trainable", [0, 1], ids=["first-trainable", "second-trainable"])
+def test_binary_op_returns_a_gradient_for_each_parent(op, trainable):
+    # The constant parent's entry too: the reverse pass alone skips it
+    # (see tape.node).
+    values = [RNG.normal(size=(2, 2)), RNG.normal(size=(2, 2)) + 3.0]
+    parents = [tape.leaf(v) if i == trainable else tape.constant(v) for i, v in enumerate(values)]
+    out = op(*parents)
+    entries = out._backward(np.ones_like(out.value))
+    assert [np.shape(e) for e in entries] == [(2, 2), (2, 2)]
+
+
 def test_where_routes_gradient_by_mask():
     mask = np.array([True, False, True])
 
