@@ -11,6 +11,11 @@ whole of stage two's forward pass.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
+import threading
+
 import numpy as np
 
 from . import tape
@@ -50,6 +55,101 @@ def nll_loss_t(weights: Tensor, means: Tensor, variances: Tensor, targets: Tenso
     return -tape.tsum(log_post)
 
 
+# The similarity op walks its (R, B, B) blocks in groups of component
+# pairs: at most GROUP_ELEMENTS // B**2 blocks, and at least one.  A group
+# must be small enough for its passes to stay in a core's cache, and large
+# enough that each numpy call in it outlasts the call's own overhead, which
+# holds the GIL.  Measured at B = 128, C = 6 on two threads, 3 blocks beat
+# 2, 4 and 8.  A batch whose R blocks fit one group, such as B <= 48 at
+# C = 6, runs as that group on the calling thread.
+GROUP_ELEMENTS = 3 << 14
+
+_threads = 1  # threads that share a call's groups, the calling one included
+_pool = None  # the other threads, started by the first call that needs them
+
+
+@contextlib.contextmanager
+def similarity_threads(count: int):
+    """Share each similarity call's pair groups among ``count`` threads,
+    the calling one included, inside the block.
+
+    The other ``count - 1`` threads start with the first call that has more
+    than one group, and leaving the block joins them, so none outlives it
+    and a process that forks afterwards holds no thread.  The split moves
+    no byte: a group runs the same float operations in the same order on
+    whichever thread takes it.
+    """
+    global _threads, _pool
+    outer = _threads, _pool
+    _threads, _pool = count, None
+    try:
+        yield
+    finally:
+        if _pool is not None:
+            _pool.shutdown()
+        _threads, _pool = outer
+
+
+@functools.cache
+def _pair_layout(c: int, b: int):
+    """The component pairs k <= l of C components, as the index rows kk
+    and ll, the (R, 1) column ``half``, and the R pairs cut into
+    contiguous groups of near-equal size, each of at most
+    GROUP_ELEMENTS // b**2 (and at least one) (b, b) blocks."""
+    kk, ll = np.triu_indices(c)
+    half = np.where(kk == ll, 0.5, 1.0)[:, None]
+    for shared in (kk, ll, half):  # every call gets these same arrays
+        shared.flags.writeable = False
+    r = len(kk)
+    count = max(1, -(-r // max(1, GROUP_ELEMENTS // max(1, b * b))))
+    edges = [r * k // count for k in range(count + 1)]
+    return kk, ll, half, tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
+
+
+def _each_group(groups: tuple[slice, ...], b: int, buffers: int, work) -> None:
+    """Call ``work(group, scratch)`` for every group of ``groups``.
+
+    Each thread that takes part allocates one (buffers, depth, b, b)
+    scratch array, with depth the largest group's, and passes ``work`` its
+    [:, :depth of the group] part.  With more than one group and thread,
+    the calling thread and the pool's threads take the groups in turn; the
+    call returns when every group is done, and re-raises the first error.
+    """
+    global _pool
+    depth = max(g.stop - g.start for g in groups)
+    pending = iter(groups)
+    take = threading.Lock()
+
+    def drain():
+        scratch = np.empty((buffers, depth, b, b))
+        while True:
+            with take:
+                group = next(pending, None)
+            if group is None:
+                return
+            work(group, scratch[:, : group.stop - group.start])
+
+    helpers = min(_threads, len(groups)) - 1
+    if helpers < 1:
+        drain()
+        return
+    # Imported here: at module level it would add to every import of the
+    # package, as pipeline.ablate's process pool would.
+    import concurrent.futures
+
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(_threads - 1)
+    # A helper runs in a copy of this thread's context, which holds numpy's
+    # error state, so an np.errstate around the call holds there too.
+    futures = [_pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
 def similarity_matrix_t(
     weights: Tensor, means: Tensor, variances: Tensor, dim: int
 ) -> Tensor:
@@ -81,28 +181,49 @@ def similarity_matrix_t(
     ``U_ij = sum_r half_r w_ik w_jl P_ijkl`` and ``X = U + U^T``: a k < l
     block also stands for (l, k), its transpose, so ``half`` is 1 there
     and 0.5 on the k = l blocks, which the transpose would count twice.
-    As L = sum_ij Gs_ij U_ij, the VJP first forms ``A = P Gs`` once, an
-    (R, B, B) block with Gs broadcast over r, and from it the factors F:
-    A for the weights, A q for the means and A q^2 - A / s for the
-    variances (q = delta / s), the last built in place over the buffers
-    of the first two.  It then reduces each block at both of its ends
-    with a two-operand ``einsum``: the k end, ``half_r sum_j w_jl F_rij``,
+    The work on the blocks runs by groups of consecutive component pairs
+    (see ``GROUP_ELEMENTS``), shared among ``similarity_threads``' threads.
+    The forward fills each group's slab of s, q (= delta / s) and P in
+    place; only U, a sum over r, is one ``einsum`` over all the blocks
+    once every group is done.  As L = sum_ij Gs_ij U_ij, the VJP forms,
+    per group, ``A = P Gs`` (Gs broadcast over r) and from it the factors
+    F: A for the weights, A q for the means and A q^2 - A / s for the
+    variances, the last in place over the first two, in two scratch slabs
+    of the group's depth.  It reduces each factor's blocks at both ends
+    with two-operand ``einsum``s: the k end, ``half_r sum_j w_jl F_rij``,
     feeds component k of mixture i, and the l end,
     ``parity half_r sum_i w_ik F_rij``, feeds component l of mixture j,
     where parity is -1 for the means, whose delta changes sign with the
-    end, and 1 otherwise.  ``np.add.at`` sums the R block ends into the
-    (C, B) gradient.  No ``einsum`` takes ``optimize``, and nothing here
-    calls ``matmul`` or ``dot``, so no BLAS call enters the op.
+    end, and 1 otherwise.  Every elementwise pass and every per-(r, i) or
+    per-(r, j) sum is the same whatever the grouping and the thread, so
+    neither moves a byte.  ``np.add.at`` then sums the R block ends into
+    the (C, B) gradient.  No ``einsum`` takes ``optimize``, and nothing
+    here calls ``matmul`` or ``dot``, so no BLAS call enters the op.
     """
     b, c = _check_param_block(weights, means, variances)
     # (C, B): row k holds component k of every mixture.
     w, m, v = weights.value.T, means.value.T, variances.value.T
-    kk, ll = np.triu_indices(c)
-    half = np.where(kk == ll, 0.5, 1.0)[:, None]
+    kk, ll, half, groups = _pair_layout(c, b)
     w_k, w_l = w[kk] * half, w[ll]
-    s = v[kk, :, None] + v[ll, None, :]
-    q = (m[kk, :, None] - m[ll, None, :]) / s
-    pair = np.exp((np.log(s * (2.0 * np.pi)) + q * q * s) * (-0.5 * dim))
+    m_k, m_l, v_k, v_l = m[kk], m[ll], v[kk], v[ll]
+    s, q, pair = (np.empty((len(kk), b, b)) for _ in range(3))
+
+    def terms(r, scratch):
+        """s, q and P of the pair group r, each pass in place."""
+        s_r, q_r, pair_r, scratch = s[r], q[r], pair[r], scratch[0]
+        np.add(v_k[r, :, None], v_l[r, None, :], out=s_r)
+        np.subtract(m_k[r, :, None], m_l[r, None, :], out=q_r)
+        q_r /= s_r
+        # exp((log(2 pi s) + q q s) * (-dim / 2))
+        np.multiply(s_r, 2.0 * np.pi, out=pair_r)
+        np.log(pair_r, out=pair_r)
+        np.multiply(q_r, q_r, out=scratch)
+        scratch *= s_r
+        pair_r += scratch
+        pair_r *= -0.5 * dim
+        np.exp(pair_r, out=pair_r)
+
+    _each_group(groups, b, 1, terms)
     u = np.einsum("ri,rj,rij->ij", w_k, w_l, pair)
     x = u + u.T
     d = x.diagonal()
@@ -114,24 +235,37 @@ def similarity_matrix_t(
         gx = g / root
         gx[np.diag_indices(b)] -= 0.5 * (g_sim.sum(axis=1) + g_sim.sum(axis=0)) / d
         gs = gx + gx.T
+        # [f, r]: factor f's k end over i, and its l end over j, of block r.
+        k_end, l_end = np.empty((3, len(kk), b)), np.empty((3, len(kk), b))
 
-        def both_ends(factor, parity):
+        def factors(r, scratch):
+            a, aq = scratch
+            np.multiply(pair[r], gs, out=a)
+            np.multiply(a, q[r], out=aq)
+            # Both factors' ends at once: every (f, r, i) or (f, r, j) sum
+            # runs as it would in a call of its own.
+            np.einsum("frij,rj->fri", scratch, w_l[r], out=k_end[:2, r])
+            np.einsum("frij,ri->frj", scratch, w_k[r], out=l_end[:2, r])
+            # a q^2 - a / s, built over the two buffers once both are reduced.
+            aq *= q[r]
+            a /= s[r]
+            aq -= a
+            np.einsum("rij,rj->ri", aq, w_l[r], out=k_end[2, r])
+            np.einsum("rij,ri->rj", aq, w_k[r], out=l_end[2, r])
+
+        _each_group(groups, b, 2, factors)
+
+        def both_ends(f, parity):
             """(B, C) sum_jl w_jl factor_ijkl, from each block's k end and,
             with factor_jilk = parity * factor_ijkl, its l end."""
             out = np.zeros((c, b))
-            np.add.at(out, kk, half * np.einsum("rij,rj->ri", factor, w_l))
-            np.add.at(out, ll, parity * np.einsum("rij,ri->rj", factor, w_k))
+            np.add.at(out, kk, half * k_end[f])
+            np.add.at(out, ll, parity * l_end[f])
             return out.T
 
-        a = pair * gs
-        aq = a * q
-        gw = both_ends(a, 1.0)
-        gm = both_ends(aq, -1.0) * w.T * -dim
-        # a q^2 - a / s, built over the two buffers once gw and gm have read them.
-        aq *= q
-        a /= s
-        aq -= a
-        return gw, gm, both_ends(aq, 1.0) * w.T * (0.5 * dim)
+        gw = both_ends(0, 1.0)
+        gm = both_ends(1, -1.0) * w.T * -dim
+        return gw, gm, both_ends(2, 1.0) * w.T * (0.5 * dim)
 
     return tape.node("similarity", sim, (weights, means, variances), vjp)
 

@@ -29,6 +29,8 @@ from .tape import Tensor
 
 CHECKPOINT_MAGIC = b"MIXCON1"
 NORM_GUARD = 1e-12
+# Rows per block of an array encoder pass (see encoder_forward).
+ENCODER_BLOCK_ROWS = 2048
 
 Params = dict[str, np.ndarray]
 
@@ -130,10 +132,19 @@ def _as_batch(x, dim: int, what: str) -> np.ndarray:
 
 
 def encoder_forward(params: Params, x, cfg: ModelConfig) -> np.ndarray:
-    """Array-in, array-out encoder pass, (B, d) -> (B, H)."""
+    """Array-in, array-out encoder pass, (B, d) -> (B, H).
+
+    The rows go through in blocks of ``ENCODER_BLOCK_ROWS``, so a long pass
+    holds a few block-sized temporaries at a time, not a few of the whole
+    input's size.  Each output row depends on its input row alone.
+    """
     arr = _as_batch(x, cfg.input_dim, "encoder input")
     pt = params_to_tensors(params, trainable_prefixes=())
-    return encoder_forward_t(pt, tape.constant(arr), cfg).value
+    out = np.empty((len(arr), cfg.embed_dim))
+    for lo in range(0, len(arr), ENCODER_BLOCK_ROWS):
+        block = tape.constant(arr[lo : lo + ENCODER_BLOCK_ROWS])
+        out[lo : lo + ENCODER_BLOCK_ROWS] = encoder_forward_t(pt, block, cfg).value
+    return out
 
 
 def classifier_forward(params: Params, h, cfg: ModelConfig) -> np.ndarray:

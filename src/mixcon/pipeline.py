@@ -47,7 +47,7 @@ from .data import (
     splitmix64,
 )
 from .errors import InputError, NumericError
-from .losses import asl_loss_t, nll_loss_t, pcl_loss_t
+from .losses import asl_loss_t, nll_loss_t, pcl_loss_t, similarity_threads
 from .metrics import HEADLINE, MetricsReport, PredictionSet, pr_f1_report, report_to_json
 from .model import (
     classifier_forward,
@@ -210,12 +210,34 @@ def _fit(
     return rows
 
 
+# Processes that share this one's usable CPUs: ablate's forked workers
+# each take their share.
+_cpu_share = 1
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_cpus(processes: int) -> None:
+    """Initializer of an ``ablate`` worker, one of ``processes`` forked
+    workers that share the usable CPUs."""
+    global _cpu_share
+    _cpu_share = processes
+
+
 def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
     """Stage one: fit encoder + mixture head, emit checkpoint and loss curve.
 
     Each epoch shuffles the training split and walks full-size batches
     (a trailing partial batch is skipped so every step sees a uniform
-    2N-view contrastive problem).
+    2N-view contrastive problem).  The similarity op runs on one thread
+    per usable CPU, or on this process's share of them in an ``ablate``
+    worker; the threads move no byte, and they end before this returns.
     """
     features, labels, train_idx, _ = dataset_split(cfg)
     out = Path(out_dir)
@@ -240,18 +262,19 @@ def train_contrastive(cfg: ExperimentConfig, out_dir) -> ContrastiveResult:
         pcl = pcl_loss_t(w, m, v, views.labels, cfg.model.mixture_dim, cfg.loss)
         return nll, pcl, nll + pcl * cfg.loss.lam
 
-    rows = _fit(
-        params,
-        cfg.optim,
-        trainable=("enc.", "mdn."),
-        epochs=cfg.optim.contrastive_epochs,
-        num_samples=len(x_train),
-        drop_last=True,
-        shuffle_seed=splitmix64(cfg.seed, STREAM_CONTRASTIVE_SHUFFLE),
-        make_batch=make_batch,
-        batch_loss=batch_loss,
-        objective="total",
-    )
+    with similarity_threads(max(1, _usable_cpus() // _cpu_share)):
+        rows = _fit(
+            params,
+            cfg.optim,
+            trainable=("enc.", "mdn."),
+            epochs=cfg.optim.contrastive_epochs,
+            num_samples=len(x_train),
+            drop_last=True,
+            shuffle_seed=splitmix64(cfg.seed, STREAM_CONTRASTIVE_SHUFFLE),
+            make_batch=make_batch,
+            batch_loss=batch_loss,
+            objective="total",
+        )
     curve = out / "contrastive_loss.csv"
     _write_csv(curve, cfg, "epoch,nll,pcl,total,lr", rows)
     return ContrastiveResult(
@@ -405,8 +428,8 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     """Full two-stage run per value with shared seeds; one CSV row each.
 
     Every value is checked before any output exists.  The values then run
-    in forked processes, one per usable CPU at most, and the rows come
-    back in value order; outputs are the same bytes as a run in this
+    in forked processes, one per usable CPU at most, each stage one on its
+    process's share of the CPUs, and the rows come back in value order; outputs are the same bytes as a run in this
     process.  A failing value marks its row "failed" and the sweep
     continues; the caller turns ``failed`` into a nonzero exit at the end.
     """
@@ -430,16 +453,17 @@ def ablate(cfg: ExperimentConfig, param: str, values, out_dir) -> SweepResult:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
+    workers = min(len(values), _usable_cpus())
     # fork, not the platform default: a forkserver or spawn child would
     # import numpy and the package again for every pool.  The pool forks
-    # its children before it starts its own manager thread, and OpenBLAS
-    # shuts its thread pool down before a fork.
+    # its children before it starts its own manager thread, OpenBLAS
+    # shuts its thread pool down before a fork, and a stage one joins its
+    # similarity threads before it returns.
     with ProcessPoolExecutor(
-        max_workers=min(len(values), cpus), mp_context=multiprocessing.get_context("fork")
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_share_cpus,
+        initargs=(workers,),
     ) as pool:
         run_value = functools.partial(_sweep_value, param, out, labels[train_idx])
         results = list(pool.map(run_value, values, run_cfgs))

@@ -1,6 +1,9 @@
 """Loss values against analytic fixtures and the brute-force transcription."""
 
 import math
+import sys
+import threading
+import warnings
 from functools import partial
 
 import numpy as np
@@ -216,6 +219,55 @@ def test_similarity_op_returns_no_gradient_for_constant_blocks(trainable):
             np.testing.assert_array_equal(got, want)
         else:
             assert got is None
+
+
+def similarity_bytes(blocks, g, threads):
+    """Bytes of the op's value and of each block's gradient under the
+    read-out g, with its pair groups shared among ``threads`` threads, and
+    the number of live threads just before the pool's were joined."""
+    with losses.similarity_threads(threads):
+        parents = leaves(*blocks)
+        sim = similarity_matrix_t(*parents, 4)
+        tape.backward(tape.tsum(sim * tape.constant(g)))
+        alive = threading.active_count()
+    return [sim.value.tobytes()] + [p.grad.tobytes() for p in parents], alive
+
+
+def test_similarity_op_gives_the_same_bytes_on_one_thread_and_on_several():
+    # 128 views, as at batch 64: C = 6 makes 21 component pairs, cut into
+    # several groups that the threads share.
+    w, m, v, _ = random_batch(np.random.default_rng(27), 128, 6, 4)
+    g = np.random.default_rng(28).normal(size=(128, 128))
+    *_, groups = losses._pair_layout(6, 128)
+    assert len(groups) > 4
+    before = threading.active_count()
+    one, alive = similarity_bytes((w, m, v), g, 1)
+    assert alive == before
+    # More threads than most machines have CPUs, switching as often as the
+    # interpreter allows: a group lost or taken twice would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 3, 5):
+            got, alive = similarity_bytes((w, m, v), g, threads)
+            assert got == one, threads
+            assert alive == before + threads - 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_pool_threads_keep_the_callers_numpy_error_state():
+    # Means 1e200 apart overflow q * q * s in every group, on whichever
+    # thread takes it: the caller's np.errstate decides for all of them.
+    w, m, v, _ = random_batch(np.random.default_rng(29), 128, 6, 4)
+    blocks = constants(w, m * 1e200, v)
+    with losses.similarity_threads(3):
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(similarity_matrix_t(*blocks, 4).value).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            similarity_matrix_t(*blocks, 4)
 
 
 # -- pcl -----------------------------------------------------------------------

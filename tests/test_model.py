@@ -14,10 +14,12 @@ from mixcon import tape
 from mixcon.config import ModelConfig
 from mixcon.errors import InputError, NumericError
 from mixcon.model import (
+    ENCODER_BLOCK_ROWS,
     Checkpoint,
     classifier_forward,
     encoder_bytes,
     encoder_forward,
+    encoder_forward_t,
     init_params,
     load_checkpoint,
     mdn_forward_t,
@@ -86,6 +88,23 @@ def test_encoder_output_is_unit_norm_and_deterministic():
     single = encoder_forward(params, x[:1], CFG)
     np.testing.assert_allclose(single[0], h[0], rtol=1e-12, atol=1e-14)
 
+
+
+def test_a_long_encoder_pass_streams_its_rows_in_blocks():
+    # Two full blocks and a partial one: the same bytes as separate passes
+    # over the slices, joined, and as one tape pass over every row.
+    rows = 2 * ENCODER_BLOCK_ROWS + 3
+    params = init_params(CFG, seed=2)
+    x = np.random.default_rng(1).normal(size=(rows, 6))
+    h = encoder_forward(params, x, CFG)
+    parts = [
+        encoder_forward(params, x[lo : lo + ENCODER_BLOCK_ROWS], CFG)
+        for lo in range(0, rows, ENCODER_BLOCK_ROWS)
+    ]
+    assert [len(part) for part in parts] == [ENCODER_BLOCK_ROWS, ENCODER_BLOCK_ROWS, 3]
+    assert h.tobytes() == np.concatenate(parts).tobytes()
+    whole = encoder_forward_t(params_to_tensors(params, ()), tape.constant(x), CFG)
+    assert h.tobytes() == whole.value.tobytes()
 
 def test_identity_encoder_passes_unit_vector_through():
     cfg = ModelConfig(

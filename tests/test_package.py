@@ -168,10 +168,20 @@ def test_config_tree_lives_in_config_module():
 def test_similarity_op_makes_no_blas_call():
     # The determinism promise leans on the mixture similarity, forward and
     # VJP, using no BLAS routine: einsum without optimize never calls one.
+    # The check covers the op and every function of its module that the op
+    # reaches by name, such as the helpers that run its pair groups.
     tree = ast.parse((ROOT / "src" / "mixcon" / "losses.py").read_text(encoding="utf-8"))
-    [op] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "similarity_matrix_t"]
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, pending = set(), ["similarity_matrix_t"]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += [n.id for n in ast.walk(functions[name])
+                        if isinstance(n, ast.Name) and n.id in functions]
+    assert {"_each_group", "_pair_layout"} < reached
     found = []
-    for node in ast.walk(op):
+    for node in (node for name in reached for node in ast.walk(functions[name])):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append("@")
         name = getattr(node, "id", None) or getattr(node, "attr", None)

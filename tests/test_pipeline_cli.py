@@ -10,13 +10,14 @@ import gc
 import json
 import multiprocessing
 import os
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixcon import pipeline, tape
+from mixcon import losses, pipeline, tape
 from mixcon.cli import main
 from mixcon.config import (
     ContrastiveLossConfig,
@@ -382,6 +383,34 @@ class TestAblate:
         pids = [int((tmp_path / f"alpha={v}" / "pid").read_text()) for v in (0.1, 0.5, 0.9)]
         assert os.getpid() not in pids
         assert multiprocessing.active_children() == []
+
+    def test_a_threaded_stage_one_leaves_no_thread_behind_for_the_fork(
+        self, tmp_path, monkeypatch
+    ):
+        # At batch 64 (B = 128 views) the similarity op shares its pair
+        # groups with pool threads; train_contrastive joins them before it
+        # returns, so ablate then forks a process with one thread.
+        cfg = ExperimentConfig(
+            optim=OptimConfig(batch_size=64, contrastive_epochs=1, classifier_epochs=1)
+        )
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        similarity, alive = losses.similarity_matrix_t, []
+
+        def counting(*args):
+            alive.append(threading.active_count())
+            return similarity(*args)
+
+        monkeypatch.setattr(losses, "similarity_matrix_t", counting)
+        before = threading.active_count()
+        train_contrastive(cfg, tmp_path / "parent")
+        assert max(alive) == before + 1
+        assert threading.active_count() == before
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process that holds threads forks.
+            warnings.simplefilter("error", DeprecationWarning)
+            result = ablate(cfg, "lambda", ["0", "0.3"], tmp_path / "sweep")
+        assert not result.failed, result.failures
+        assert [row[-1] for row in result.rows] == ["ok", "ok"]
 
     def test_an_unexpected_error_in_a_value_keeps_its_type(self, tmp_path, monkeypatch):
         def broken_stage_two(cfg, checkpoint, out_dir):
