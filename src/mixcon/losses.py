@@ -190,7 +190,8 @@ def similarity_matrix_t(
     F: A for the weights, A q for the means and A q^2 - A / s for the
     variances, the last in place over the first two, in two scratch slabs
     of the group's depth.  It reduces each factor's blocks at both ends
-    with two-operand ``einsum``s: the k end, ``half_r sum_j w_jl F_rij``,
+    with two-operand ``einsum``s, one call per end for the first two
+    factors together: the k end, ``half_r sum_j w_jl F_rij``,
     feeds component k of mixture i, and the l end,
     ``parity half_r sum_i w_ik F_rij``, feeds component l of mixture j,
     where parity is -1 for the means, whose delta changes sign with the
